@@ -28,6 +28,8 @@ from the nightly workflow.  Wall-time history lives in
 BENCH_network.json.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -141,28 +143,33 @@ def test_storm_pod_local_gates(benchmark):
 def test_settle_scratch_is_hoisted():
     """Post-warmup settles reuse the same hoisted scratch buffers.
 
-    The settle hot path works entirely in grow-only buffers (residual,
-    region/visited scratch, the arena rate snapshot): once the storm's
-    peak live-flow count has been reached, no settle may reallocate any
-    fabric- or arena-sized working array.  The gate records the buffer
-    identities at every settle and requires them frozen over the whole
-    back 40% of the run — growth is doubling, so it has long plateaued
-    by then — and the total grow count bounded by the doubling schedule.
+    The settle hot path works entirely in grow-only buffers (the
+    maintained residual and the fair-share solver's slabs): once the
+    storm's peak live-flow count has been reached, no settle may
+    reallocate any fabric- or arena-sized working array.  The gate
+    records the buffer identities at every settle and requires them
+    frozen over the whole back 40% of the run — growth is doubling, so
+    it has long plateaued by then.  Each buffer may grow at most as
+    often as doubling from the 64-entry floor to its final capacity
+    takes: ⌈log2(capacity / 64)⌉ + 1 allocations, counting the first.
     """
     history: list[tuple[dict, int]] = []
 
     def hook(net):
-        history.append((net.scratch_buffer_ids(), net.scratch_grows))
+        history.append((net.scratch_buffers(), net.scratch_grows))
 
     _run_storm(2_000, on_network=lambda net: net.add_settle_hook(hook))
     assert len(history) > 100
     tail = history[int(len(history) * 0.6):]
-    ids0, grows0 = tail[0]
-    for ids, grows in tail:
-        assert ids == ids0, "a settle reallocated a hoisted scratch buffer"
+    bufs0, grows0 = tail[0]
+    for bufs, grows in tail:
+        assert bufs == bufs0, "a settle reallocated a hoisted scratch buffer"
         assert grows == grows0, "a settle grew scratch after warm-up"
-    # one initial link-array build plus a handful of doubling steps
-    assert grows0 < 32
+    final, grows = history[-1]
+    assert sum(allocs for _id, _cap, allocs in final.values()) == grows
+    for name, (_id, cap, allocs) in final.items():
+        bound = math.ceil(math.log2(max(cap, 64) / 64)) + 1
+        assert allocs <= bound, f"{name}: {allocs} allocations for capacity {cap}"
 
 
 @pytest.mark.slow

@@ -25,7 +25,7 @@ class FairShareScratch:
 
     The delta engine settles thousands of times per run, and every solve
     used to allocate about a dozen arena/fabric-sized arrays (component
-    closure labels, remap tables, progressive-filling state).  A caller
+    labels, remap tables, progressive-filling state).  A caller
     that owns one of these passes it through
     :func:`maxmin_rates_componentwise`; results are bit-identical to the
     scratchless path because every buffer is fully (re)initialised
@@ -42,6 +42,7 @@ class FairShareScratch:
         self.grows = 0
         self.on_grow = on_grow
         self._slabs: dict[str, np.ndarray] = {}
+        self._allocs: dict[str, int] = {}
 
     def _slab(self, name: str, n: int, dtype) -> np.ndarray:
         arr = self._slabs.get(name)
@@ -55,6 +56,7 @@ class FairShareScratch:
             elif name == "ones":
                 new.fill(1.0)
             self._slabs[name] = new
+            self._allocs[name] = self._allocs.get(name, 0) + 1
             self.grows += 1
             if self.on_grow is not None:
                 self.on_grow()
@@ -79,9 +81,12 @@ class FairShareScratch:
         """All-ones length-``n`` view (treat read-only)."""
         return self._slab("ones", n, float)[:n]
 
-    def buffer_ids(self) -> dict[str, int]:
-        """Identity of every live slab, for hoisting gates."""
-        return {name: id(arr) for name, arr in sorted(self._slabs.items())}
+    def buffer_stats(self) -> dict[str, tuple[int, int, int]]:
+        """``(identity, capacity, allocations)`` of every live slab, for hoisting gates."""
+        return {
+            name: (id(arr), arr.shape[0], self._allocs[name])
+            for name, arr in sorted(self._slabs.items())
+        }
 
 
 def maxmin_rates_pairs(
@@ -134,9 +139,9 @@ def maxmin_rates_pairs(
         w = np.asarray(weights, dtype=float)
         if w.shape != (nflows,):
             raise ValueError("weights must have one entry per flow")
-        if (w[np.unique(pair_flow)] <= 0).any():
-            raise ValueError("weights must be positive")
     pair_weight = w[pair_flow]
+    if weights is not None and (pair_weight <= 0).any():
+        raise ValueError("weights must be positive")
 
     if scratch is None:
         cap = residual.astype(float).copy()
@@ -217,50 +222,45 @@ def incidence_components(
 
     Implementation: vectorised min-label propagation — each sweep pulls
     every link's label down to the minimum of its flows' labels and
-    back; sweeps needed = half the graph diameter (small on Clos
-    fabrics, where any two flows sharing a pod meet within a few hops).
+    back, until every pair's flow and link agree; sweeps needed = half
+    the graph diameter (small on Clos fabrics, where any two flows
+    sharing a pod meet within a few hops).  A component's label is then
+    its smallest flow id, the one flow still labelled by itself.
     """
     if scratch is None:
-        flow_lab = np.arange(nflows, dtype=np.intp)
+        iota = np.arange(nflows, dtype=np.intp)
+        flow_lab = iota.copy()
         link_lab = np.full(nlinks, np.iinfo(np.intp).max, dtype=np.intp)
-        prev = None
-    else:
-        flow_lab = scratch.empty("c_flow_lab", nflows, np.intp)
-        np.copyto(flow_lab, scratch.iota(nflows))
-        link_lab = scratch.empty("c_link_lab", nlinks, np.intp)
-        link_lab.fill(np.iinfo(np.intp).max)
-        prev = scratch.empty("c_prev_lab", nflows, np.intp)
-    if pair_flow.size:
-        while True:
-            np.minimum.at(link_lab, pair_link, flow_lab[pair_flow])
-            if prev is None:
-                before = flow_lab.copy()
-            else:
-                before = prev
-                np.copyto(before, flow_lab)
-            np.minimum.at(flow_lab, pair_flow, link_lab[pair_link])
-            if np.array_equal(before, flow_lab):
-                break
-    if scratch is None:
         has_pairs = np.zeros(nflows, dtype=bool)
-    else:
-        has_pairs = scratch.zeros("c_has_pairs", nflows, bool)
-    has_pairs[pair_flow] = True
-    roots = np.unique(flow_lab[has_pairs])  # sorted ⇒ ordered by min flow id
-    if scratch is None:
         remap = np.full(nflows, -1, dtype=np.intp)
-        remap[roots] = np.arange(roots.size, dtype=np.intp)
-        flow_comp = np.where(has_pairs, remap[flow_lab], -1)
+        flow_comp = np.empty(nflows, dtype=np.intp)
         link_comp = np.full(nlinks, -1, dtype=np.intp)
     else:
+        iota = scratch.iota(nflows)
+        flow_lab = scratch.empty("c_flow_lab", nflows, np.intp)
+        np.copyto(flow_lab, iota)
+        link_lab = scratch.empty("c_link_lab", nlinks, np.intp)
+        link_lab.fill(np.iinfo(np.intp).max)
+        has_pairs = scratch.zeros("c_has_pairs", nflows, bool)
         remap = scratch.empty("c_remap", nflows, np.intp)
         remap.fill(-1)
-        remap[roots] = scratch.iota(roots.size)
         flow_comp = scratch.empty("c_flow_comp", nflows, np.intp)
-        np.take(remap, flow_lab, out=flow_comp)
-        flow_comp[~has_pairs] = -1
         link_comp = scratch.empty("c_link_comp", nlinks, np.intp)
         link_comp.fill(-1)
+    if pair_flow.size:
+        while True:
+            pulled = flow_lab[pair_flow]
+            np.minimum.at(link_lab, pair_link, pulled)
+            pushed = link_lab[pair_link]
+            if np.array_equal(pulled, pushed):
+                break
+            np.minimum.at(flow_lab, pair_flow, pushed)
+    has_pairs[pair_flow] = True
+    # ascending roots ⇒ components ordered by their smallest flow id;
+    # a pairless flow is no root, so it maps to -1
+    roots = np.flatnonzero(has_pairs & (flow_lab == iota))
+    remap[roots] = iota[: roots.size]
+    np.take(remap, flow_lab, out=flow_comp)
     if pair_link.size:
         link_comp[pair_link] = flow_comp[pair_flow]
     return flow_comp, link_comp, int(roots.size)
@@ -273,6 +273,7 @@ def maxmin_rates_componentwise(
     residual: np.ndarray,
     weights: Optional[np.ndarray] = None,
     scratch: Optional[FairShareScratch] = None,
+    labels: Optional[tuple[np.ndarray, np.ndarray, int]] = None,
 ) -> np.ndarray:
     """Canonical component-decomposed max-min solve.
 
@@ -290,31 +291,37 @@ def maxmin_rates_componentwise(
     Flows outside every component in the given pairs keep rate 0 — the
     incremental caller overwrites only the slots it scoped.
 
-    With ``scratch``, all solver state (including the component-closure
-    labels) lives in grow-only buffers; the returned array is a view
+    ``labels`` is an optional ``(flow_comp, link_comp, ncomp)`` from
+    :func:`incidence_components` over a larger incidence of which the
+    given pairs are whole components — e.g. the whole live incidence,
+    when the caller passes only the components it wants re-solved.  It
+    replaces the labelling pass; the rates are the same either way.
+
+    With ``scratch``, all solver state (including the component labels)
+    lives in grow-only buffers; the returned array is a view
     into one, valid until the next solve against the same scratch.
     """
     rates = np.zeros(nflows) if scratch is None else scratch.zeros("w_rates", nflows)
     if nflows == 0 or pair_flow.size == 0:
         return rates
     nlinks = residual.shape[0]
-    flow_comp, link_comp, ncomp = incidence_components(
-        pair_flow, pair_link, nflows, nlinks, scratch=scratch
-    )
-    if ncomp == 1:
+    if labels is None:
+        labels = incidence_components(pair_flow, pair_link, nflows, nlinks, scratch=scratch)
+    flow_comp, link_comp, ncomp = labels
+    pair_comp = flow_comp[pair_flow]
+    if ncomp == 1 or (pair_comp == pair_comp[0]).all():
         # Identical to the sliced path (same loaded set, same order) —
-        # skips the remap when the incidence is one component anyway.
+        # skips the remap when the pairs form one component anyway.
         return maxmin_rates_pairs(
             pair_flow, pair_link, nflows, residual, weights=weights, scratch=scratch
         )
     w = None if weights is None else np.asarray(weights, dtype=float)
-    pair_comp = flow_comp[pair_flow]
     # Stable grouping preserves within-component pair order, so each
     # component's bincount accumulation order — and therefore its bits —
     # matches a solve that never saw the other components' pairs.
     order = np.argsort(pair_comp, kind="stable")
     bounds = np.searchsorted(pair_comp[order], np.arange(ncomp + 1))
-    for c in range(ncomp):
+    for c in np.flatnonzero(np.diff(bounds)).tolist():
         sel = order[bounds[c]: bounds[c + 1]]
         pf_c, pl_c = pair_flow[sel], pair_link[sel]
         slots = np.flatnonzero(flow_comp == c)

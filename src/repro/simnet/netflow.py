@@ -33,13 +33,25 @@ class NetFlowCollector:
     active, plus at every flow start/end so phase boundaries are sharp.
     The sampler stops rescheduling itself when the network goes idle,
     so it never keeps the event queue alive after a job finishes.
+
+    A sample costs O(live shuffle flows), not O(flows ever seen): each
+    source keeps the final bytes of its finished flows in one
+    accumulator (folded in at the flow's ``"end"``) plus an
+    insertion-ordered set of its live flows, and a sample reads only the
+    live flows' byte counters.  ``traffic_matrix`` is served the same
+    way from per-(src, dst) accumulators, so the probe holds no finished
+    flow.
     """
 
     def __init__(self, sim: Simulator, network: Network, interval: float = 1.0) -> None:
         self.sim = sim
         self.network = network
         self.interval = interval
-        self._flows_by_src: dict[str, list[Flow]] = defaultdict(list)
+        #: per source: bytes of its finished shuffle flows, and its live ones
+        self._done: dict[str, float] = {}
+        self._live: dict[str, dict[Flow, None]] = {}
+        self._nlive = 0
+        self._pair_done: dict[tuple[str, str], float] = defaultdict(float)
         self._series: dict[str, _Series] = defaultdict(lambda: _Series([], []))
         self._ticking = False
         network.add_flow_hook(self._on_flow_event)
@@ -49,18 +61,30 @@ class NetFlowCollector:
         if not flow.is_shuffle():
             return
         if event == "start":
-            self._flows_by_src[flow.src].append(flow)
+            live = self._live.get(flow.src)
+            if live is None:
+                live = self._live[flow.src] = {}
+                self._done[flow.src] = 0.0
+            live[flow] = None
+            self._nlive += 1
             if not self._ticking:
                 self._ticking = True
                 self.sim.schedule(0.0, self._tick)
             else:
                 self._sample()
         elif event == "end":
+            live = self._live.get(flow.src, {})
+            if flow in live:
+                del live[flow]
+                self._nlive -= 1
+                sent = flow.bytes_sent
+                self._done[flow.src] += sent
+                self._pair_done[(flow.src, flow.dst)] += sent
             self._sample()
 
     def _tick(self) -> None:
         self._sample()
-        if any(f.active for flows in self._flows_by_src.values() for f in flows):
+        if self._nlive:
             self.sim.schedule(self.interval, self._tick)
         else:
             self._ticking = False
@@ -68,8 +92,9 @@ class NetFlowCollector:
     def _sample(self) -> None:
         self.network.sample_counters()
         now = self.sim.now
-        for src, flows in self._flows_by_src.items():
-            total = sum(f.bytes_sent for f in flows)
+        done = self._done
+        for src, live in self._live.items():
+            total = done[src] + sum(f.bytes_sent for f in live)
             series = self._series[src]
             if series.times and series.times[-1] == now:
                 series.values[-1] = total
@@ -96,8 +121,8 @@ class NetFlowCollector:
 
     def traffic_matrix(self) -> dict[tuple[str, str], float]:
         """Final shuffle bytes exchanged per (src, dst) server pair."""
-        matrix: dict[tuple[str, str], float] = defaultdict(float)
-        for flows in self._flows_by_src.values():
-            for f in flows:
+        matrix = defaultdict(float, self._pair_done)
+        for live in self._live.values():
+            for f in live:
                 matrix[(f.src, f.dst)] += f.bytes_sent
         return dict(matrix)

@@ -7,7 +7,7 @@ change, and schedules a single "next completion" event.  Stale
 completion events are invalidated with a generation counter rather than
 heap surgery.
 
-Three structural choices keep the per-event cost flat as experiments
+These structural choices keep the per-event cost flat as experiments
 scale (see docs/ARCHITECTURE.md "Network engine internals"):
 
 * **Persistent incidence state.**  Elastic flows live in a slot arena
@@ -24,6 +24,12 @@ scale (see docs/ARCHITECTURE.md "Network engine internals"):
   instant, after the mutations that requested it — and every public
   rate-reading accessor settles on demand so no caller can observe a
   stale allocation.
+* **Component-labelled delta settles.**  Each settle labels the
+  connected components of the live incidence in one vectorised pass;
+  the components holding a link dirtied since the last settle are
+  re-solved from those labels and every other component keeps its
+  rates (bit-identical, by the componentwise solve contract).  A full
+  solve is the same code with every component marked dirty.
 * **Indexed membership.**  ``flows_on_link`` is served from a
   maintained link→flow index, and the elastic/rigid collections are
   insertion-ordered dicts so completion waves no longer pay
@@ -42,7 +48,6 @@ scale (see docs/ARCHITECTURE.md "Network engine internals"):
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from typing import Callable, Optional
 
@@ -51,7 +56,11 @@ import numpy as np
 from repro import obs
 from repro.faults import runtime as faults_runtime
 from repro.simnet.engine import Simulator
-from repro.simnet.fairshare import FairShareScratch, maxmin_rates_componentwise
+from repro.simnet.fairshare import (
+    FairShareScratch,
+    incidence_components,
+    maxmin_rates_componentwise,
+)
 from repro.simnet.flows import Flow
 from repro.simnet.links import Link
 from repro.simnet.topology import Topology
@@ -79,7 +88,7 @@ class _SlotArena:
         "n", "rate", "remaining", "sent", "weight", "alive",
         "pair_start", "pair_count", "flows",
         "pn", "pair_flow", "pair_link", "dead", "dead_pairs", "network",
-        "eta0", "etaE", "rate_scratch",
+        "eta0", "etaE",
     )
 
     def __init__(self) -> None:
@@ -109,15 +118,12 @@ class _SlotArena:
         #: dead slots park at +inf so min-rescans need no alive mask.
         self.eta0 = np.full(cap, np.nan)
         self.etaE = np.full(cap, np.nan)
-        #: pre-solve rate snapshot for change detection (full solves).
-        self.rate_scratch = np.zeros(cap)
 
     # -- growth --------------------------------------------------------
     def _grow_slots(self) -> None:
         cap = len(self.rate) * 2
         for name in ("rate", "remaining", "sent", "weight", "alive",
-                     "pair_start", "pair_count", "eta0", "etaE",
-                     "rate_scratch"):
+                     "pair_start", "pair_count", "eta0", "etaE"):
             old = getattr(self, name)
             new = np.zeros(cap, dtype=old.dtype)
             new[: old.shape[0]] = old
@@ -294,26 +300,6 @@ class _SlotArena:
             return pf[live], pl[live]
         return pf, pl
 
-    def solve(
-        self, residual: np.ndarray, scratch=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve max-min over the live incidence; returns the live pairs.
-
-        Componentwise (see :func:`maxmin_rates_componentwise`): each
-        connected component of the incidence is filled in isolation, so
-        a later *delta* solve of any one component reproduces these
-        rates bit-for-bit.  ``scratch`` (a
-        :class:`~repro.simnet.fairshare.FairShareScratch`) reuses the
-        owner's grow-only solver buffers.
-        """
-        pf, pl = self.live_pairs()
-        n = self.n
-        rates = maxmin_rates_componentwise(
-            pf, pl, n, residual, weights=self.weight[:n], scratch=scratch
-        )
-        self.rate[:n] = rates
-        return pf, pl
-
 
 class Network:
     """Fluid-model network: rigid CBR streams + max-min elastic flows.
@@ -321,21 +307,19 @@ class Network:
     Parameters
     ----------
     delta:
-        Enable topology-local (delta) settles: re-solve only the
+        Topology-local (delta) settles, on by default: re-solve only the
         connected components of the incidence graph a mutation touched,
         keeping every other component's rates frozen (bit-identical by
-        the componentwise solve contract).  ``None`` (default) reads
-        the ``REPRO_DELTA`` environment variable — any value other than
-        ``"off"``/``"0"`` leaves delta mode on.
+        the componentwise solve contract).  ``False`` re-solves every
+        component at every settle — the reference the delta engine is
+        tested against.
     """
 
     def __init__(
-        self, sim: Simulator, topology: Topology, *, delta: Optional[bool] = None
+        self, sim: Simulator, topology: Topology, *, delta: bool = True
     ) -> None:
         self.sim = sim
         self.topology = topology
-        if delta is None:
-            delta = os.environ.get("REPRO_DELTA", "") not in ("off", "0")
         self._delta = bool(delta)
         self._elastic: dict[Flow, None] = {}
         self._rigid: dict[Flow, None] = {}
@@ -358,24 +342,16 @@ class Network:
         self._min0_slot = -1
         self._minE_val = np.inf
         self._minE_slot = -1
-        #: grow-only settle scratch (see scratch_buffer_ids): region
-        #: discovery visited flags + output index buffers.  The visited
-        #: slot flags double as the scoped solve's membership mask.
-        self._vis_slots = np.zeros(64, dtype=bool)
-        self._vis_links = np.zeros(0, dtype=bool)
-        self._region_slots = np.zeros(64, dtype=np.intp)
-        self._region_links = np.zeros(0, dtype=np.intp)
-        self._region_stack: list[int] = []
         #: maintained per-link elastic residual (refreshed only for
         #: dirtied links each settle; recomputed wholesale on rebuild).
         self._residual = np.zeros(0)
         #: reallocations of any hoisted scratch buffer — the storm
         #: microbench asserts this stops moving after warm-up.
         self.scratch_grows = 0
-        #: grow-only fair-share solver workspace (component-closure
-        #: labels + progressive-filling state), shared by the full and
-        #: scoped settle solves; its reallocations count as scratch
-        #: grows so the no-allocation gates cover it too.
+        #: grow-only fair-share solver workspace (component labels +
+        #: progressive-filling state) used by every settle; its
+        #: reallocations count as scratch grows so the no-allocation
+        #: gates cover it too.
         self._fs_scratch = FairShareScratch(on_grow=self._note_scratch_grow)
         #: links whose residual or flow membership changed since the
         #: last settle — the seeds of the next delta solve's scope.
@@ -692,8 +668,6 @@ class Network:
             Link.ELASTIC_FLOOR * self._lcap, self._lcap - self._lrigid
         )
         self._residual[~self._lup] = 0.0
-        self._vis_links = np.zeros(self._nlinks, dtype=bool)
-        self._region_links = np.zeros(self._nlinks, dtype=np.intp)
         self.scratch_grows += 1
 
     # ------------------------------------------------------------------
@@ -753,71 +727,6 @@ class Network:
         """Fold fair-share workspace reallocations into the grow gauge."""
         self.scratch_grows += 1
 
-    def _ensure_slot_scratch(self) -> None:
-        """Grow the slot-sized scratch to the arena's slot capacity."""
-        cap = len(self._arena.rate)
-        if len(self._vis_slots) < cap:
-            self._vis_slots = np.zeros(cap, dtype=bool)
-            self._region_slots = np.zeros(cap, dtype=np.intp)
-            self.scratch_grows += 1
-
-    def _affected_region(self) -> tuple[np.ndarray, np.ndarray]:
-        """Closure of the dirty links under the live flow-link incidence.
-
-        Breadth-first over the bipartite incidence graph starting from
-        the links dirtied since the previous settle: every live elastic
-        flow crossing a reached link joins the region, and drags every
-        link on its path in.  The result is a union of whole connected
-        components — exactly the set whose max-min rates can have
-        changed — returned as sorted (slot, link) index arrays.
-
-        The returned arrays are views into grow-only scratch buffers
-        (valid until the next settle), and the visited-slot flags are
-        left set so the scoped solve can reuse them as its membership
-        mask; ``_settle`` clears both flag sets once done.
-        """
-        arena = self._arena
-        self._ensure_slot_scratch()
-        nlinks = self._nlinks
-        vis_l = self._vis_links
-        vis_s = self._vis_slots
-        out_l = self._region_links
-        out_s = self._region_slots
-        stack = self._region_stack
-        nl = ns = 0
-        for lid in self._dirty_links:
-            if 0 <= lid < nlinks and not vis_l[lid]:
-                vis_l[lid] = True
-                out_l[nl] = lid
-                nl += 1
-                stack.append(lid)
-        by_link = self._flows_by_link
-        pair_link = arena.pair_link
-        while stack:
-            lid = stack.pop()
-            for flow in by_link.get(lid, ()):
-                if flow._state is not arena:
-                    continue  # rigid, paused, or not yet slotted
-                slot = flow._slot
-                if vis_s[slot]:
-                    continue
-                vis_s[slot] = True
-                out_s[ns] = slot
-                ns += 1
-                start = int(arena.pair_start[slot])
-                stop = start + int(arena.pair_count[slot])
-                for l in pair_link[start:stop].tolist():
-                    if not vis_l[l]:
-                        vis_l[l] = True
-                        out_l[nl] = l
-                        nl += 1
-                        stack.append(l)
-        slots = out_s[:ns]
-        links = out_l[:nl]
-        slots.sort()
-        links.sort()
-        return slots, links
-
     def touch_links(self, lids) -> None:
         """Mark links dirty and request a settle (fault injection hook).
 
@@ -831,11 +740,13 @@ class Network:
     def _settle(self) -> None:
         """Re-solve max-min rates and schedule the next completion.
 
-        Delta mode re-solves only the *affected region*: the connected
-        components of the live incidence reachable from the links
-        dirtied since the previous settle.  Rates and per-link elastic
-        loads outside the region are left untouched — bit-identical to
-        a whole-fabric componentwise solve, because a component's fill
+        One :func:`~repro.simnet.fairshare.incidence_components` pass
+        labels the live incidence; the *dirty* components are those
+        holding a link dirtied since the previous settle (every
+        component, for a full solve), and only their pairs are
+        re-solved, reusing the labels.  Rates and per-link elastic loads
+        outside them are left untouched — bit-identical to a
+        whole-fabric componentwise solve, because a component's fill
         never reads another component's state
         (:func:`~repro.simnet.fairshare.maxmin_rates_componentwise`).
         """
@@ -847,62 +758,58 @@ class Network:
             self._rebuild_link_arrays()
             self._dirty_all = True
         self._flush_admits()
-        self._refresh_residual()
-        residual = self._residual
+        nlinks = self._nlinks
+        dirty = np.fromiter(self._dirty_links, dtype=np.intp, count=len(self._dirty_links))
+        dirty = dirty[(dirty >= 0) & (dirty < nlinks)]
+        self._refresh_residual(dirty)
         arena = self._arena
         n = arena.n
         full = not self._delta or self._dirty_all
-        upd = _EMPTY_SLOTS
+        pf, pl = arena.live_pairs()
+        labels = incidence_components(pf, pl, n, nlinks, scratch=self._fs_scratch)
+        flow_comp, link_comp, ncomp = labels
+        # in_scope[c] marks dirty component c; label -1 (no live pair)
+        # reads the trailing False.  Dirty links are in scope even when
+        # vacated: their load mirror must drop to zero.
+        in_scope = np.zeros(ncomp + 1, dtype=bool)
         if full:
-            if self._elastic:
-                prev = arena.rate_scratch
-                prev[:n] = arena.rate[:n]
-                pf, pl = arena.solve(residual, scratch=self._fs_scratch)
-                self._lelastic = np.bincount(
-                    pl, weights=arena.rate[:n][pf], minlength=self._nlinks
-                )
-                # Untouched components re-solve to bit-identical rates
-                # (the componentwise contract), so value comparison
-                # finds exactly the slots whose trajectory moved — the
-                # same set a delta engine would re-solve.
-                upd = np.flatnonzero(
-                    arena.alive[:n]
-                    & ((arena.rate[:n] != prev[:n]) | np.isnan(arena.eta0[:n]))
-                )
-            else:
-                self._lelastic = np.zeros(self._nlinks)
+            in_scope[:ncomp] = True
+            link_in = np.ones(nlinks, dtype=bool)
+        else:
+            in_scope[link_comp[dirty]] = True
+            in_scope[-1] = False
+            link_in = in_scope[link_comp]
+            link_in[dirty] = True
+        slot_in = in_scope[flow_comp]
+        scope_slots = np.flatnonzero(slot_in)
+        scope_links = np.flatnonzero(link_in)
+        if scope_slots.size != n - arena.dead:
+            # some components stay frozen: solve only the dirty ones' pairs
+            keep = slot_in[pf]
+            pf, pl = pf[keep], pl[keep]
+        upd = _EMPTY_SLOTS
+        if scope_slots.size:
+            rates = maxmin_rates_componentwise(
+                pf, pl, n, self._residual,
+                weights=arena.weight[:n], scratch=self._fs_scratch, labels=labels,
+            )
+            new_rates = rates[scope_slots]
+            # Untouched components would re-solve to bit-identical rates,
+            # so these are exactly the slots whose trajectory moved.
+            upd = scope_slots[
+                (new_rates != arena.rate[scope_slots])
+                | np.isnan(arena.eta0[scope_slots])
+            ]
+            arena.rate[scope_slots] = new_rates
+            loads = np.bincount(pl, weights=rates[pf], minlength=nlinks)
+            self._lelastic[scope_links] = loads[scope_links]
+        else:
+            # dirtied links with no live elastic flow left on them
+            self._lelastic[scope_links] = 0.0
+        if full:
             self._m_solves_full.inc()
             scope_slots = scope_links = _EMPTY_SLOTS
         else:
-            scope_slots, scope_links = self._affected_region()
-            if scope_slots.size:
-                pf_all = arena.pair_flow[: arena.pn]
-                pl_all = arena.pair_link[: arena.pn]
-                # region discovery left _vis_slots marking exactly the
-                # scoped slots — dead slots are never in the region
-                mask = self._vis_slots[pf_all]
-                pf_r = pf_all[mask]
-                pl_r = pl_all[mask]
-                rates_r = maxmin_rates_componentwise(
-                    pf_r, pl_r, n, residual,
-                    weights=arena.weight[:n], scratch=self._fs_scratch,
-                )
-                new_rates = rates_r[scope_slots]
-                upd = scope_slots[
-                    (new_rates != arena.rate[scope_slots])
-                    | np.isnan(arena.eta0[scope_slots])
-                ]
-                arena.rate[scope_slots] = new_rates
-                self._lelastic[scope_links] = np.bincount(
-                    np.searchsorted(scope_links, pl_r),
-                    weights=rates_r[pf_r],
-                    minlength=scope_links.size,
-                )
-            elif scope_links.size:
-                # dirtied links with no live elastic flows left on them
-                self._lelastic[scope_links] = 0.0
-            self._vis_slots[scope_slots] = False
-            self._vis_links[scope_links] = False
             self._m_solves_scoped.inc()
             self._m_comp_flows.inc(int(scope_slots.size))
             self._m_comp_links.inc(int(scope_links.size))
@@ -940,7 +847,7 @@ class Network:
     # ------------------------------------------------------------------
     # indexed completion scheduling
     # ------------------------------------------------------------------
-    def _refresh_residual(self) -> None:
+    def _refresh_residual(self, lids: np.ndarray) -> None:
         """Refresh the maintained residual for links dirtied since last settle.
 
         Every residual input (capacity, rigid rate, up/down state) is
@@ -948,11 +855,6 @@ class Network:
         (or rebuild the arrays wholesale), so touching just the dirty
         entries keeps the array bit-identical to a full recompute.
         """
-        dl = self._dirty_links
-        if not dl:
-            return
-        lids = np.fromiter(dl, dtype=np.intp, count=len(dl))
-        lids = lids[(lids >= 0) & (lids < self._nlinks)]
         if not lids.size:
             return
         c = self._lcap[lids]
@@ -1046,24 +948,24 @@ class Network:
         self._minE_val = v = float(eta[j])
         return v
 
-    def scratch_buffer_ids(self) -> dict[str, int]:
-        """Identities of the hoisted settle scratch buffers.
+    def scratch_buffers(self) -> dict[str, tuple[int, int, int]]:
+        """``(identity, capacity, allocations)`` of each hoisted settle buffer.
 
         The storm microbench captures these after warm-up and asserts
         they stay put — i.e. the per-settle path performs no fresh
-        allocation of any fabric- or arena-sized working array.
+        allocation of any fabric- or arena-sized working array — and
+        that each buffer grew no more often than doubling to its
+        capacity takes.  The allocations sum to :attr:`scratch_grows`.
         """
-        ids = {
-            "residual": id(self._residual),
-            "vis_slots": id(self._vis_slots),
-            "vis_links": id(self._vis_links),
-            "region_slots": id(self._region_slots),
-            "region_links": id(self._region_links),
-            "rate_scratch": id(self._arena.rate_scratch),
+        fs = self._fs_scratch
+        out = {
+            "residual": (
+                id(self._residual), self._residual.shape[0], self.scratch_grows - fs.grows
+            ),
         }
-        for name, bid in self._fs_scratch.buffer_ids().items():
-            ids[f"fairshare.{name}"] = bid
-        return ids
+        for name, stats in fs.buffer_stats().items():
+            out[f"fairshare.{name}"] = stats
+        return out
 
     def _completion_tick(self, generation: int) -> None:
         if generation != self._generation:

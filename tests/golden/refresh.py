@@ -25,6 +25,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "digests.json"
 FLEET_DIGESTS = HERE / "fleet_digests.json"
+NETFLOW_SERIES = HERE / "netflow_series.json"
 
 SCHEDULERS = ("ecmp", "pythia", "hedera")
 SEEDS = (1, 2, 3)
@@ -34,6 +35,10 @@ WORKLOADS = ("sort", "nutch")
 #: 2-tenant sort+nutch mix with staggered arrivals under each scheduler.
 FLEET_SCHEDULERS = ("ecmp", "pythia")
 FLEET_SEEDS = (1, 2)
+
+#: the matrix cell whose NetFlow probe series (the measured curve of
+#: Figure 5) is pinned sample by sample.
+NETFLOW_CELL = ("sort", "pythia", 1)
 
 
 def make_spec(workload: str):
@@ -62,6 +67,19 @@ def run_cell(workload: str, scheduler: str, seed: int) -> dict:
         "jct_seconds": res.jct,
         "events_processed": res.sim.events_processed,
     }
+
+
+def run_netflow_cell() -> dict[str, dict]:
+    """The pinned cell's sampled NetFlow series, per sourcing server."""
+    from repro.experiments.common import run_experiment
+
+    workload, scheduler, seed = NETFLOW_CELL
+    res = run_experiment(make_spec(workload), scheduler=scheduler, ratio=10.0, seed=seed)
+    out = {}
+    for server in res.netflow.servers():
+        times, values = res.netflow.series(server)
+        out[server] = {"times": times.tolist(), "values": values.tolist()}
+    return out
 
 
 def make_fleet_workload():
@@ -138,6 +156,10 @@ def load_fleet_digests() -> dict[str, dict]:
     return json.loads(FLEET_DIGESTS.read_text())
 
 
+def load_netflow_series() -> dict[str, dict]:
+    return json.loads(NETFLOW_SERIES.read_text())
+
+
 def main() -> int:
     sys.path.insert(0, str(HERE.parents[1] / "src"))
     digests = compute_digests()
@@ -146,6 +168,9 @@ def main() -> int:
     fleet = compute_fleet_digests()
     FLEET_DIGESTS.write_text(json.dumps(fleet, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(fleet)} fleet digests to {FLEET_DIGESTS}")
+    series = run_netflow_cell()
+    NETFLOW_SERIES.write_text(json.dumps(series, sort_keys=True) + "\n")
+    print(f"wrote the NetFlow series of {len(series)} servers to {NETFLOW_SERIES}")
     return 0
 
 

@@ -15,6 +15,8 @@ and commit the diff alongside the change that explains it.
 
 import pytest
 
+from repro.simnet.flows import Flow
+from repro.simnet.netflow import NetFlowCollector
 from tests.golden.refresh import (
     FLEET_SCHEDULERS,
     FLEET_SEEDS,
@@ -25,8 +27,10 @@ from tests.golden.refresh import (
     fleet_cell_key,
     load_digests,
     load_fleet_digests,
+    load_netflow_series,
     run_cell,
     run_fleet_cell,
+    run_netflow_cell,
 )
 
 _MATRIX = [
@@ -89,3 +93,54 @@ def test_fleet_golden_trace(fleet_golden, scheduler, seed):
         assert actual["jct_seconds"][job_id] == pytest.approx(jct, rel=1e-9), (
             f"{key}: JCT of {job_id} drifted"
         )
+
+
+def test_netflow_series_golden():
+    """The Figure 5 probe series: same sample instants, same values.
+
+    Times and sample counts must match exactly (the probe samples at
+    flow events and ticks, so a moved sample means a changed schedule);
+    values to rel 1e-12, which only admits a different float summation
+    order of the same per-flow byte counters.
+    """
+    expected = load_netflow_series()
+    actual = run_netflow_cell()
+    assert sorted(actual) == sorted(expected)
+    for server, exp in expected.items():
+        act = actual[server]
+        assert act["times"] == exp["times"], f"{server}: sample instants drifted"
+        assert act["values"] == pytest.approx(exp["values"], rel=1e-12, abs=0.0), (
+            f"{server}: sampled cumulative bytes drifted"
+        )
+
+
+def test_netflow_sample_reads_only_live_flows(monkeypatch):
+    """Each NetFlow sample reads at most one byte counter per live shuffle flow."""
+    reads = [0]
+    counting = [False]
+    checked = []
+    bytes_sent = Flow.bytes_sent
+
+    def counted(flow):
+        if counting[0] and flow.is_shuffle():
+            reads[0] += 1
+        return bytes_sent.fget(flow)
+
+    sample = NetFlowCollector._sample
+
+    def audited(collector):
+        live = sum(1 for f in collector.network.archive if f.active and f.is_shuffle())
+        reads[0] = 0
+        counting[0] = True
+        try:
+            sample(collector)
+        finally:
+            counting[0] = False
+        checked.append((reads[0], live))
+
+    monkeypatch.setattr(Flow, "bytes_sent", property(counted, bytes_sent.fset))
+    monkeypatch.setattr(NetFlowCollector, "_sample", audited)
+    run_netflow_cell()
+    assert len(checked) > 100, f"only {len(checked)} samples — cell too small to gate"
+    over = [(r, live) for r, live in checked if r > live]
+    assert not over, f"{len(over)} samples read more counters than live flows, e.g. {over[0]}"

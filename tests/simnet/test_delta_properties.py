@@ -10,13 +10,19 @@ one with ``delta=True`` and one with ``delta=False``, on all four
 topology generators, and require exact float equality of every flow's
 rate/remaining/bytes_sent at every probe point and of every completion
 time at the end.
+
+Targeted differential cases then pin the settle paths a random script
+reaches only by luck, each run under a whole-fabric invariant checker
+(``InvariantChecker(scope="full")``, what ``REPRO_INVARIANTS=full``
+installs) so the engine's per-link load mirror is audited at every
+settle as well.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import InvariantChecker, use_checker
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import TCP, FiveTuple, Flow
 from repro.simnet.network import Network
@@ -189,16 +195,6 @@ def test_property_delta_scope_is_component_closed(script):
     assert scoped_seen, "a multi-settle run must exercise scoped solves"
 
 
-def test_delta_off_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_DELTA", "off")
-    sim = Simulator()
-    net = Network(sim, two_rack())
-    assert net._delta is False
-    monkeypatch.delenv("REPRO_DELTA")
-    net2 = Network(Simulator(), two_rack())
-    assert net2._delta is True
-
-
 def test_scoped_settle_freezes_other_components():
     """Admitting a flow in one pod must not rewrite rates elsewhere."""
     topo = fat_tree(4)
@@ -222,3 +218,160 @@ def test_scoped_settle_freezes_other_components():
     assert a._slot not in scope["slots"].tolist()
     assert net._arena.rate[a._slot] == rate_a
     assert np.all(np.asarray(scope["links"]) >= 0)
+
+
+# ----------------------------------------------------------------------
+# targeted delta == full cases
+# ----------------------------------------------------------------------
+def _flow(src, dst, size, port):
+    return Flow(src=src, dst=dst, size=size,
+                five_tuple=FiveTuple(f"ip{src}", f"ip{dst}", 50060, port, TCP))
+
+
+def _differential(scenario, probes):
+    """Run ``scenario`` on a delta and a full engine; require identical state.
+
+    ``scenario(sim, topo, net)`` schedules its events and returns the
+    flows to compare.  At every probe instant each engine records every
+    flow's (rate, remaining, bytes_sent) and the per-link elastic loads;
+    at the end, every flow's completion time and final counters.  Both
+    runs are audited at every settle by a whole-fabric checker.  Returns
+    the delta run's record plus its settle scopes for case-specific
+    assertions.
+    """
+    runs = []
+    for delta in (True, False):
+        checker = InvariantChecker(scope="full")
+        with use_checker(checker):
+            sim = Simulator()
+            topo = fat_tree(4)
+            net = Network(sim, topo, delta=delta)
+            flows = scenario(sim, topo, net)
+            snaps = []
+            scopes = []
+
+            def probe():
+                snaps.append((
+                    [(f.rate, f.remaining, f.bytes_sent) for f in flows],
+                    net.link_elastic_load().tolist(),
+                ))
+
+            def note_scope(network):
+                scope = network.last_settle_scope
+                scopes.append((sim.now, scope["full"], scope["slots"].tolist(),
+                               scope["links"].tolist()))
+
+            net.add_settle_hook(note_scope)
+            for at in probes:
+                sim.schedule(at, probe)
+            sim.run(until=600.0)
+        assert checker.checkpoints > 0 and not checker.violation_log
+        final = [(f.end_time, f.rate, f.remaining, f.bytes_sent) for f in flows]
+        assert all(end is not None for end, *_ in final)
+        runs.append({"snaps": snaps, "final": final, "events": sim.events_processed,
+                     "scopes": scopes, "flows": flows})
+    d, f = runs
+    assert d["events"] == f["events"], "delta mode may not change the event schedule"
+    assert d["snaps"] == f["snaps"], "rates and link loads must match the full solve bit-for-bit"
+    assert d["final"] == f["final"], "completions must match the full solve bit-for-bit"
+    assert any(not full for _t, full, _s, _l in d["scopes"]), "no scoped settle ran"
+    return d
+
+
+def test_delta_zeroes_dirty_links_left_without_flows():
+    """A completion that empties a component: its links must read zero load."""
+    def scenario(sim, topo, net):
+        a = _flow("h0_00", "h0_10", 1e8, 1)
+        b = _flow("h3_00", "h3_10", 1e9, 2)
+        sim.schedule(0.0, net.start_flow, a,
+                     topo.path_links(["h0_00", "edge0_0", "agg0_0", "edge0_1", "h0_10"]))
+        sim.schedule(0.0, net.start_flow, b,
+                     topo.path_links(["h3_00", "edge3_0", "agg3_0", "edge3_1", "h3_10"]))
+        return [a, b]
+
+    d = _differential(scenario, probes=[0.5, 2.0])
+    a, b = d["flows"]
+    loads = d["snaps"][1][1]
+    assert all(loads[l] == 0.0 for l in a.path), "vacated links kept a stale load"
+    assert all(loads[l] > 0.0 for l in b.path)
+    # the completion settle re-solved nothing, only cleared a's links
+    assert any(not full and not slots and set(a.path) <= set(links)
+               for t, full, slots, links in d["scopes"] if t == a.end_time)
+
+
+def test_delta_reroute_with_pause_drops_paused_flow_from_labels():
+    """A paused flow leaves the incidence; its neighbour takes the link."""
+    paused = []
+
+    def scenario(sim, topo, net):
+        a = _flow("h0_00", "h0_10", 3e8, 1)
+        b = _flow("h0_01", "h0_11", 3e8, 2)
+        c = _flow("h2_00", "h2_10", 3e8, 3)
+        via0 = ["edge0_0", "agg0_0", "edge0_1"]
+        sim.schedule(0.0, net.start_flow, a, topo.path_links(["h0_00", *via0, "h0_10"]))
+        sim.schedule(0.0, net.start_flow, b, topo.path_links(["h0_01", *via0, "h0_11"]))
+        sim.schedule(0.0, net.start_flow, c,
+                     topo.path_links(["h2_00", "edge2_0", "agg2_0", "edge2_1", "h2_10"]))
+        new = topo.path_links(["h0_00", "edge0_0", "agg0_1", "edge0_1", "h0_10"])
+        sim.schedule(0.5, net.reroute, a, new, 0.25)
+        sim.schedule(0.6, lambda: paused.append((a.arena_bound(), a.rate, b.rate)))
+        return [a, b, c]
+
+    d = _differential(scenario, probes=[0.4, 0.6, 1.0])
+    a, b, _c = d["flows"]
+    assert paused[0] == paused[1]
+    a_bound, a_rate, b_rate = paused[0]
+    assert not a_bound and a_rate == 0.0, "a paused flow kept its arena slot"
+    assert b_rate > d["snaps"][0][0][1][0], "b did not take the vacated share"
+    assert any(not full and 0.5 == t for t, full, _s, _l in d["scopes"])
+
+
+def test_delta_same_wave_pending_admissions():
+    """Flows rerouted (with and without pause) before their first settle."""
+    pending = []
+
+    def scenario(sim, topo, net):
+        a = _flow("h0_00", "h0_10", 2e8, 1)
+        b = _flow("h0_01", "h0_11", 2e8, 2)
+        c = _flow("h0_00", "h0_11", 2e8, 3)
+        via0 = ["edge0_0", "agg0_0", "edge0_1"]
+
+        def wave():
+            net.start_flow(a, topo.path_links(["h0_00", *via0, "h0_10"]))
+            net.start_flow(b, topo.path_links(["h0_01", *via0, "h0_11"]))
+            net.start_flow(c, topo.path_links(["h0_00", *via0, "h0_11"]))
+            pending.append(b.arena_bound() or c.arena_bound())
+            net.reroute(b, topo.path_links(["h0_01", "edge0_0", "agg0_1", "edge0_1", "h0_11"]))
+            net.reroute(c, topo.path_links(["h0_00", "edge0_0", "agg0_1", "edge0_1", "h0_11"]),
+                        pause=0.2)
+
+        sim.schedule(0.0, wave)
+        return [a, b, c]
+
+    _differential(scenario, probes=[0.1, 0.3, 1.0])
+    assert pending == [False, False], "the wave's flows were slotted before its settle"
+
+
+def test_delta_link_failure_mid_run():
+    """A failed cable stalls its flows; restoring it resumes them."""
+    stalled = []
+
+    def scenario(sim, topo, net):
+        a = _flow("h0_00", "h0_10", 3e8, 1)
+        b = _flow("h0_01", "h0_11", 3e8, 2)
+        c = _flow("h3_00", "h3_10", 3e8, 3)
+        sim.schedule(0.0, net.start_flow, a,
+                     topo.path_links(["h0_00", "edge0_0", "agg0_0", "edge0_1", "h0_10"]))
+        sim.schedule(0.0, net.start_flow, b,
+                     topo.path_links(["h0_01", "edge0_0", "agg0_1", "edge0_1", "h0_11"]))
+        sim.schedule(0.0, net.start_flow, c,
+                     topo.path_links(["h3_00", "edge3_0", "agg3_0", "edge3_1", "h3_10"]))
+        sim.schedule(0.3, topo.fail_cable, "agg0_0", "edge0_1")
+        sim.schedule(0.5, lambda: stalled.append((a.rate, b.rate > 0.0)))
+        sim.schedule(1.0, topo.restore_cable, "agg0_0", "edge0_1")
+        return [a, b, c]
+
+    d = _differential(scenario, probes=[0.2, 0.5, 1.5])
+    assert stalled == [(0.0, True), (0.0, True)]
+    assert d["snaps"][2][0][0][0] > 0.0, "a did not resume after the restore"
+    assert any(not full for t, full, _s, _l in d["scopes"] if t == 0.3)

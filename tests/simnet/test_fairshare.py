@@ -209,13 +209,13 @@ def test_scratch_stops_allocating_once_warm():
     scratch = FairShareScratch()
     pf, pl, residual = _random_incidence(rng, 32, 16, 100)
     maxmin_rates_componentwise(pf, pl, 32, residual, scratch=scratch)
-    warm_ids = scratch.buffer_ids()
+    warm = scratch.buffer_stats()
     warm_grows = scratch.grows
     for _ in range(10):
         pf, pl, residual = _random_incidence(rng, 32, 16, 100)
         maxmin_rates_componentwise(pf, pl, 32, residual, scratch=scratch)
     assert scratch.grows == warm_grows
-    assert scratch.buffer_ids() == warm_ids
+    assert scratch.buffer_stats() == warm
 
 
 def test_scratch_grow_callback_fires():
