@@ -24,7 +24,8 @@ from repro import obs
 from repro.analysis.report import format_table
 from repro.analysis.speedup import speedup
 from repro.analysis.timeline import job_timeline, phase_fractions, render_timeline
-from repro.experiments.common import SCHEDULERS, run_experiment
+from repro.experiments.common import run_experiment
+from repro.stack import SCHEDULERS
 from repro.workloads import HIBENCH, make_workload
 
 FIGURES = ("fig1a", "fig1b", "fig3", "fig4", "fig5", "overhead", "ablations")

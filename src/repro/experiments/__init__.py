@@ -1,10 +1,12 @@
 """Experiment runners: one module per paper table/figure.
 
-See DESIGN.md's experiment index.  Every runner builds a full stack —
-topology, fluid network, controller + scheduler, Hadoop cluster,
-instrumentation, background traffic — executes the workload to
-completion, and returns structured results that the benchmark harness
-renders as the paper's rows/series.
+See DESIGN.md's experiment index.  Every runner stands on one stack —
+topology, fluid network, controller + scheduler from
+:func:`repro.stack.build_stack`, plus the Hadoop cluster,
+instrumentation and background traffic the shared harness in
+:mod:`repro.experiments.common` layers on top — executes the workload
+to completion, and returns structured results that the benchmark
+harness renders as the paper's rows/series.
 """
 
 from repro.experiments.common import RunResult, run_experiment, run_pair

@@ -2,32 +2,23 @@
 
 Iterative analytics (PageRank, k-means, BFS) execute as a *chain* of
 MapReduce jobs whose shuffle pattern repeats every round — per-round
-savings from network scheduling compound across the chain.
+savings from network scheduling compound across the chain.  The chain
+runs on the shared harness (:func:`~repro.experiments.common.run_jobs`);
+only the submission loop is its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.config import PythiaConfig
-from repro.core.scheduler import PythiaScheduler
-from repro.hadoop.cluster import ClusterConfig, HadoopCluster
-from repro.hadoop.job import JobSpec
+from repro.experiments.common import run_jobs
+from repro.hadoop.job import JobRun, JobSpec
 from repro.hadoop.jobtracker import JobTracker
-from repro.instrumentation.decoder import SpillDecoder
-from repro.instrumentation.middleware import (
-    InstrumentationConfig,
-    InstrumentationMiddleware,
-)
-from repro.sdn.controller import Controller
-from repro.sdn.policy import EcmpPolicy, FailureRepairService
-from repro.simnet.background import BackgroundTraffic
 from repro.simnet.engine import Simulator
-from repro.simnet.network import Network
-from repro.simnet.topology import two_rack
 
 
 @dataclass
@@ -54,53 +45,38 @@ def run_chain(
     """Execute the chain sequentially inside one simulation."""
     if not specs:
         raise ValueError("empty chain")
-    sim = Simulator()
-    rng = np.random.default_rng(seed)
-    topology = two_rack()
-    network = Network(sim, topology)
-    pythia_config = pythia_config or PythiaConfig()
-    controller = Controller(sim, network, k_paths=pythia_config.k_paths)
-    pythia: Optional[PythiaScheduler] = None
-    if scheduler == "pythia":
-        pythia = PythiaScheduler(pythia_config)
-        controller.register(pythia)
-    elif scheduler != "ecmp":
+    if scheduler not in ("ecmp", "pythia"):
         raise ValueError(f"chain experiment supports ecmp/pythia, not {scheduler!r}")
-    controller.start()
-    policy = pythia.policy if pythia is not None else EcmpPolicy(topology)
-    FailureRepairService(network, policy)
-    cluster = HadoopCluster(topology, ClusterConfig())
-    jobtracker = JobTracker(sim, network, cluster, policy, rng)
-    if pythia is not None:
-        assert pythia.collector is not None
-        InstrumentationMiddleware(
-            sim,
-            jobtracker,
-            pythia.collector,
-            InstrumentationConfig(decoder=SpillDecoder(specs[0].predicted_overhead)),
-            rng,
-        )
-    background = BackgroundTraffic(network, rng)
-    background.populate(ratio)
 
-    result = ChainResult(scheduler=scheduler, ratio=ratio)
-    queue = list(specs)
+    def _drive(
+        sim: Simulator, jobtracker: JobTracker, finish: Callable[[], None]
+    ) -> list[JobRun]:
+        runs: list[JobRun] = []
+        queue = list(specs)
 
-    def _submit_next() -> None:
-        spec = queue.pop(0)
-        jobtracker.submit(spec, on_complete=_on_done)
+        def _submit_next() -> None:
+            runs.append(jobtracker.submit(queue.pop(0), on_complete=_on_done))
 
-    def _on_done(run) -> None:
-        result.iteration_jcts.append(run.jct)
-        if queue:
-            _submit_next()
-        else:
-            result.total_seconds = sim.now
-            controller.stop()
-            background.teardown()
+        def _on_done(_run: JobRun) -> None:
+            if queue:
+                _submit_next()
+            else:
+                finish()
 
-    sim.schedule(0.0, _submit_next)
-    sim.run()
-    if len(result.iteration_jcts) != len(specs):
-        raise RuntimeError("chain did not complete")
-    return result
+        sim.schedule(0.0, _submit_next)
+        return runs
+
+    res = run_jobs(
+        _drive,
+        specs[0].predicted_overhead,
+        scheduler=scheduler,
+        ratio=ratio,
+        seed=seed,
+        pythia_config=pythia_config,
+    )
+    return ChainResult(
+        scheduler=scheduler,
+        ratio=ratio,
+        iteration_jcts=[run.jct for run in res.jobs],
+        total_seconds=float(res.jobs[-1].completed_at),
+    )

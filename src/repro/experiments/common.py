@@ -1,16 +1,17 @@
-"""Shared experiment harness: build the stack, run a job, collect results.
+"""Shared experiment harness: build the stack, run jobs, collect results.
 
-``run_experiment`` is the single entry point every figure reproduction
-and example uses: it wires the simulator, topology, network, SDN
-controller (with the requested scheduler), Hadoop cluster,
-instrumentation middleware, NetFlow probes and background traffic, runs
-one job to completion, and tears periodic services down so the event
-queue drains deterministically.
+``run_experiment`` (one job) and ``run_cluster_experiment`` (a fleet)
+are the entry points every figure reproduction and example uses.  Both
+go through :func:`run_jobs`, which takes the control-plane stack from
+:func:`repro.stack.build_stack` (simulator, topology, network, SDN
+controller with the requested scheduler), layers the Hadoop cluster,
+instrumentation middleware, NetFlow probes and background traffic on
+top, lets a driver submit the jobs, runs them to completion, and tears
+periodic services down so the event queue drains deterministically.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,7 +20,6 @@ import numpy as np
 from repro import obs
 from repro.core.collector import PredictionCollector
 from repro.core.config import PythiaConfig
-from repro.core.scheduler import PythiaScheduler
 from repro.hadoop.cluster import ClusterConfig, HadoopCluster
 from repro.hadoop.job import JobRun, JobSpec
 from repro.hadoop.jobtracker import JobTracker
@@ -32,16 +32,19 @@ from repro.instrumentation.overhead import InstrumentationCostModel
 from repro.faults import ChaosEngine, ChaosSchedule, InvariantChecker
 from repro.faults import runtime as faults_runtime
 from repro.sdn.controller import Controller
-from repro.sdn.hedera import HederaScheduler
-from repro.sdn.policy import EcmpPolicy, FailureRepairService, PathPolicy
+from repro.sdn.policy import FailureRepairService
 from repro.simnet.background import BackgroundRamp, BackgroundTraffic
 from repro.simnet.engine import Simulator
 from repro.simnet.netflow import NetFlowCollector
-from repro.simnet.network import Network
 from repro.simnet.topology import Topology, two_rack
+from repro.stack import build_stack
 from repro.workloads.cluster import ClusterJob, ClusterWorkload
 
-SCHEDULERS = ("pythia", "ecmp", "hedera")
+#: submits a run's jobs: called with the simulator, the jobtracker and
+#: a ``finish`` callback (stop the periodic services) that the driver
+#: invokes once its last job has completed; returns the list the driver
+#: appends each submitted ``JobRun`` to.
+Driver = Callable[[Simulator, JobTracker, Callable[[], None]], list[JobRun]]
 
 
 @dataclass
@@ -65,8 +68,9 @@ class RunResult:
     invariants: dict = field(default_factory=dict)
     #: per-kind chaos injection counts (empty unless chaos ran).
     faults_injected: dict = field(default_factory=dict)
-    #: every job's trace in canonical (arrival, key) order; a solo run
-    #: holds its one job here too, so fleet consumers need no branching.
+    #: every job's trace in submission order (canonical (arrival, key)
+    #: order for fleets); a solo run holds its one job here too, so
+    #: fleet consumers need no branching.
     jobs: list[JobRun] = field(default_factory=list)
     #: the ClusterWorkload name for fleet runs ("" for solo runs).
     workload_name: str = ""
@@ -99,6 +103,9 @@ def run_experiment(
 ) -> RunResult:
     """Run one job under one scheduler and return its trace.
 
+    A solo run is a nameless one-job fleet (``workload_name == ""``)
+    submitted through :func:`run_cluster_experiment`.
+
     Parameters
     ----------
     scheduler:
@@ -118,7 +125,8 @@ def run_experiment(
     invariants:
         Run the :mod:`repro.faults.invariants` checker at every network
         settle point and once after the run.  ``None`` (the default)
-        reads the ``REPRO_INVARIANTS`` environment variable, so CI can
+        reads the ``REPRO_INVARIANTS`` environment variable (see
+        :func:`repro.faults.runtime.resolve_invariants`), so CI can
         turn checking on for an entire suite without touching call
         sites.  Violations raise :class:`~repro.faults.InvariantViolation`.
     chaos:
@@ -133,46 +141,24 @@ def run_experiment(
         step scenario ``forecast_efficacy`` evaluates), on top of
         whatever ``ratio`` already placed.
     """
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}")
-    checker = _make_checker(invariants)
-    with obs.use(registry=registry, tracer=tracer):
-        with faults_runtime.use_checker(checker):
-            return _run_experiment_inner(
-                spec,
-                scheduler,
-                ratio,
-                seed,
-                topology_factory,
-                cluster_config,
-                pythia_config,
-                netflow_interval,
-                model_instrumentation_cost,
-                fault,
-                registry,
-                tracer,
-                checker,
-                chaos,
-                background_ramp,
-            )
-
-
-def _make_checker(invariants: Optional[bool]) -> Optional[InvariantChecker]:
-    """Resolve the invariant-checking request (arg beats environment)."""
-    stride = 1
-    scope = "component"
-    if invariants is None:
-        env = os.environ.get("REPRO_INVARIANTS", "")
-        invariants = env not in ("", "0")
-        # REPRO_INVARIANTS=N (N > 1) checks every Nth settle — the knob
-        # that keeps suite-wide checking affordable on big runs.
-        if invariants and env.isdigit():
-            stride = max(1, int(env))
-        # REPRO_INVARIANTS=full forces the whole-fabric audit at every
-        # checkpoint (instead of the O(component) scoped default).
-        if env == "full":
-            scope = "full"
-    return InvariantChecker(every=stride, scope=scope) if invariants else None
+    return run_cluster_experiment(
+        ClusterWorkload(name="", jobs=[ClusterJob(key=0, tenant="", at=0.0, spec=spec)]),
+        scheduler=scheduler,
+        ratio=ratio,
+        seed=seed,
+        topology_factory=topology_factory,
+        cluster_config=cluster_config,
+        pythia_config=pythia_config,
+        netflow_interval=netflow_interval,
+        model_instrumentation_cost=model_instrumentation_cost,
+        fault=fault,
+        registry=registry,
+        tracer=tracer,
+        invariants=invariants,
+        chaos=chaos,
+        background_ramp=background_ramp,
+        isolated_baselines=False,
+    )
 
 
 def run_cluster_experiment(
@@ -209,31 +195,59 @@ def run_cluster_experiment(
     observability context so a registry or invariant checker attached
     to the fleet never sees them.
     """
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}")
-    checker = _make_checker(invariants)
-    with obs.use(registry=registry, tracer=tracer):
-        with faults_runtime.use_checker(checker):
-            result = _run_experiment_inner(
-                workload.sorted_jobs()[0].spec,
-                scheduler,
-                ratio,
-                seed,
-                topology_factory,
-                cluster_config,
-                pythia_config,
-                netflow_interval,
-                model_instrumentation_cost,
-                fault,
-                registry,
-                tracer,
-                checker,
-                chaos,
-                background_ramp,
-                workload=workload,
+    ordered = workload.sorted_jobs()
+
+    def _drive(
+        sim: Simulator, jobtracker: JobTracker, finish: Callable[[], None]
+    ) -> list[JobRun]:
+        jobtracker.configure_tenants(workload.tenants)
+        runs: list[JobRun] = []
+        remaining = len(ordered)
+
+        def _done(_run: JobRun) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0:
+                finish()
+
+        def _submit(job: ClusterJob) -> None:
+            runs.append(
+                jobtracker.submit(
+                    job.spec, on_complete=_done, tenant=job.tenant, seed_key=job.key
+                )
             )
+
+        # Time-0 arrivals are submitted directly; later ones arrive
+        # through the event queue, which fires equal-time events in
+        # scheduling order — so ``runs`` fills in canonical order.
+        for job in ordered:
+            if job.at <= 0.0:
+                _submit(job)
+            else:
+                sim.schedule_at(job.at, _submit, job)
+        return runs
+
+    result = run_jobs(
+        _drive,
+        ordered[0].spec.predicted_overhead,
+        scheduler=scheduler,
+        ratio=ratio,
+        seed=seed,
+        topology_factory=topology_factory,
+        cluster_config=cluster_config,
+        pythia_config=pythia_config,
+        netflow_interval=netflow_interval,
+        model_instrumentation_cost=model_instrumentation_cost,
+        fault=fault,
+        registry=registry,
+        tracer=tracer,
+        invariants=invariants,
+        chaos=chaos,
+        background_ramp=background_ramp,
+    )
+    result.workload_name = workload.name
     if isolated_baselines:
-        for job, run in zip(workload.sorted_jobs(), result.jobs):
+        for job, run in zip(ordered, result.jobs):
             solo = run_experiment(
                 job.spec,
                 scheduler=scheduler,
@@ -250,229 +264,182 @@ def run_cluster_experiment(
     return result
 
 
-def _run_experiment_inner(
-    spec: JobSpec,
-    scheduler: str,
-    ratio: Optional[float],
-    seed: int,
-    topology_factory: Callable[[], Topology],
-    cluster_config: Optional[ClusterConfig],
-    pythia_config: Optional[PythiaConfig],
-    netflow_interval: float,
-    model_instrumentation_cost: bool,
-    fault: Optional[Callable[[Simulator, Topology], None]],
-    registry: Optional[obs.MetricsRegistry],
-    tracer: Optional[obs.Tracer],
-    checker: Optional[InvariantChecker] = None,
+def run_jobs(
+    drive: Driver,
+    predicted_overhead: float,
+    scheduler: str = "pythia",
+    ratio: Optional[float] = None,
+    seed: int = 0,
+    topology_factory: Callable[[], Topology] = two_rack,
+    cluster_config: Optional[ClusterConfig] = None,
+    pythia_config: Optional[PythiaConfig] = None,
+    netflow_interval: float = 1.0,
+    model_instrumentation_cost: bool = False,
+    fault: Optional[Callable[[Simulator, Topology], None]] = None,
+    registry: Optional[obs.MetricsRegistry] = None,
+    tracer: Optional[obs.Tracer] = None,
+    invariants: Optional[bool] = None,
     chaos: Optional[Callable[[Topology], ChaosSchedule]] = None,
     background_ramp: Optional[BackgroundRamp] = None,
-    workload: Optional[ClusterWorkload] = None,
 ) -> RunResult:
-    sim = Simulator()
-    rng = np.random.default_rng(seed)
-    topology = topology_factory()
-    network = Network(sim, topology)
-    pythia_config = pythia_config or PythiaConfig()
-    controller = Controller(
-        sim,
-        network,
-        k_paths=pythia_config.k_paths,
-        stats_period=pythia_config.stats_period,
-        stats_alpha=pythia_config.stats_alpha,
-        per_rule_latency=pythia_config.per_rule_latency,
-        control_rtt=pythia_config.control_rtt,
-        mgmt_latency=pythia_config.mgmt_latency,
-    )
+    """Build the full experiment stack, let ``drive`` submit jobs, run.
 
-    pythia: Optional[PythiaScheduler] = None
-    hedera: Optional[HederaScheduler] = None
-    if scheduler == "pythia":
-        pythia = PythiaScheduler(pythia_config)
-        controller.register(pythia)
-    elif scheduler == "hedera":
-        hedera = HederaScheduler()
-        controller.register(hedera)
-    controller.start()
-
-    policy: PathPolicy
-    if pythia is not None:
-        policy = pythia.policy
-    else:
-        policy = EcmpPolicy(topology, k=pythia_config.k_paths)
-    repair = FailureRepairService(network, policy)
-
-    cluster_config = cluster_config or ClusterConfig()
-    if pythia is not None and model_instrumentation_cost:
-        cost = InstrumentationCostModel()
-        cluster_config.instrumentation_inflation = cost.mean_dc_fraction()
-    cluster = HadoopCluster(topology, cluster_config)
-    jobtracker = JobTracker(sim, network, cluster, policy, rng)
-
-    if pythia is not None:
-        assert pythia.collector is not None
-        # The endpoint is the collector itself in "off" mode and the
-        # staged pipeline's ingress driver in "staged" mode.
-        InstrumentationMiddleware(
-            sim,
-            jobtracker,
-            pythia.collector_endpoint,
-            InstrumentationConfig(
-                mgmt_latency=pythia_config.mgmt_latency,
-                decoder=SpillDecoder(spec.predicted_overhead),
-            ),
-            rng,
+    The stack is assembled in a fixed order — control plane
+    (:func:`~repro.stack.build_stack`), Hadoop, instrumentation, the
+    demand-MLU probe, NetFlow, background traffic, faults, chaos, then
+    the driver's submissions — because construction order decides how
+    same-instant events break ties.  ``predicted_overhead`` configures
+    the middleware's spill decoder.  The remaining parameters are those
+    of :func:`run_experiment`.  ``RunResult.jobs`` lists the driver's
+    runs in submission order; ``RunResult.run`` is the first of them.
+    """
+    setting = faults_runtime.resolve_invariants(invariants)
+    checker = InvariantChecker(every=setting[0], scope=setting[1]) if setting else None
+    with obs.use(registry=registry, tracer=tracer), faults_runtime.use_checker(checker):
+        stack = build_stack(scheduler, pythia_config, topology_factory)
+        sim, topology, network, controller = (
+            stack.sim, stack.topology, stack.network, stack.controller
         )
+        pythia, hedera, pythia_config = stack.pythia, stack.hedera, stack.config
+        rng = np.random.default_rng(seed)
+        controller.start()
+        repair = FailureRepairService(network, stack.policy)
 
-    # Demand-based max-link-utilisation, sampled on the stats period:
-    # offered shuffle load (remaining bytes over the demand horizon,
-    # charged to each live flow's current path) plus the rigid
-    # background rate, against capacity.  Realised fluid rates always
-    # saturate *some* bottleneck under max-min filling, so placement
-    # quality only shows in the offered-load picture — this is the MLU
-    # the min-MLU LP optimises, measured uniformly for every scheduler.
-    mlu_track = [0.0, 0.0, 0]  # peak, sum, samples
+        cluster_config = cluster_config or ClusterConfig()
+        if pythia is not None and model_instrumentation_cost:
+            cost = InstrumentationCostModel()
+            cluster_config.instrumentation_inflation = cost.mean_dc_fraction()
+        cluster = HadoopCluster(topology, cluster_config)
+        jobtracker = JobTracker(sim, network, cluster, stack.policy, rng)
 
-    def _mlu_sample(now: float, dt: float, gap: float) -> None:
-        caps = network.link_capacity()
-        rigid = network.link_load() - network.link_elastic_load()
-        load = rigid
-        horizon = pythia_config.demand_horizon
-        for f in network.elastic:
-            if f.is_shuffle() and f.remaining > 0 and f.path:
-                load[np.asarray(f.path, dtype=np.intp)] += f.remaining / horizon
-        with np.errstate(divide="ignore", invalid="ignore"):
-            util = np.where(caps > 0, load / np.where(caps > 0, caps, 1.0), 0.0)
-        m = float(util.max())
-        if m > mlu_track[0]:
-            mlu_track[0] = m
-        mlu_track[1] += m
-        mlu_track[2] += 1
+        if pythia is not None:
+            # The endpoint is the collector itself in "off" mode and the
+            # staged pipeline's ingress driver in "staged" mode.
+            InstrumentationMiddleware(
+                sim,
+                jobtracker,
+                pythia.collector_endpoint,
+                InstrumentationConfig(
+                    mgmt_latency=pythia_config.mgmt_latency,
+                    decoder=SpillDecoder(predicted_overhead),
+                ),
+                rng,
+            )
 
-    controller.stats_service.add_sample_hook(_mlu_sample)
+        # Demand-based max-link-utilisation, sampled on the stats period:
+        # offered shuffle load (remaining bytes over the demand horizon,
+        # charged to each live flow's current path) plus the rigid
+        # background rate, against capacity.  Realised fluid rates always
+        # saturate *some* bottleneck under max-min filling, so placement
+        # quality only shows in the offered-load picture — this is the MLU
+        # the min-MLU LP optimises, measured uniformly for every scheduler.
+        mlu_track = [0.0, 0.0, 0]  # peak, sum, samples
 
-    netflow = NetFlowCollector(sim, network, interval=netflow_interval)
-    background = BackgroundTraffic(network, rng)
-    background.populate(ratio)
-    if background_ramp is not None:
-        background.schedule_ramp(sim, background_ramp)
+        def _mlu_sample(now: float, dt: float, gap: float) -> None:
+            caps = network.link_capacity()
+            rigid = network.link_load() - network.link_elastic_load()
+            load = rigid
+            horizon = pythia_config.demand_horizon
+            for f in network.elastic:
+                if f.is_shuffle() and f.remaining > 0 and f.path:
+                    load[np.asarray(f.path, dtype=np.intp)] += f.remaining / horizon
+            with np.errstate(divide="ignore", invalid="ignore"):
+                util = np.where(caps > 0, load / np.where(caps > 0, caps, 1.0), 0.0)
+            m = float(util.max())
+            if m > mlu_track[0]:
+                mlu_track[0] = m
+            mlu_track[1] += m
+            mlu_track[2] += 1
 
-    if fault is not None:
-        fault(sim, topology)
+        controller.stats_service.add_sample_hook(_mlu_sample)
 
-    chaos_engine: Optional[ChaosEngine] = None
-    if chaos is not None:
-        schedule = chaos(topology)
-        chaos_engine = ChaosEngine(
-            sim,
-            network,
-            controller=controller,
-            collector=pythia.collector if pythia is not None else None,
-            seed=schedule.seed,
-        )
-        chaos_engine.apply(schedule)
+        netflow = NetFlowCollector(sim, network, interval=netflow_interval)
+        background = BackgroundTraffic(network, rng)
+        background.populate(ratio)
+        if background_ramp is not None:
+            background.schedule_ramp(sim, background_ramp)
 
-    if workload is None:
+        if fault is not None:
+            fault(sim, topology)
 
-        def _on_done(_run: JobRun) -> None:
+        chaos_engine: Optional[ChaosEngine] = None
+        if chaos is not None:
+            schedule = chaos(topology)
+            chaos_engine = ChaosEngine(
+                sim,
+                network,
+                controller=controller,
+                collector=pythia.collector if pythia is not None else None,
+                seed=schedule.seed,
+            )
+            chaos_engine.apply(schedule)
+
+        def _finish() -> None:
             controller.stop()
             background.teardown()
 
-        run = jobtracker.submit(spec, on_complete=_on_done)
-        jobs = [run]
-    else:
-        jobtracker.configure_tenants(workload.tenants)
-        ordered = workload.sorted_jobs()
-        remaining = len(ordered)
-        runs_by_key: dict[int, JobRun] = {}
-
-        def _on_fleet_done(_run: JobRun) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                controller.stop()
-                background.teardown()
-
-        def _submit(job: ClusterJob) -> None:
-            runs_by_key[job.key] = jobtracker.submit(
-                job.spec,
-                on_complete=_on_fleet_done,
-                tenant=job.tenant,
-                seed_key=job.key,
+        jobs = drive(sim, jobtracker, _finish)
+        sim.run()
+        unfinished = [r.spec.name for r in jobs if r.completed_at is None]
+        if unfinished:
+            raise RuntimeError(
+                f"jobs {unfinished!r} did not complete (event queue drained early)"
             )
+        if checker is not None:
+            # Final end-of-run checkpoint regardless of the sampling stride.
+            checker.check()
 
-        # Time-0 arrivals are submitted directly (exactly what the solo
-        # path does, keeping one-job fleets bit-identical); later ones
-        # arrive through the event queue in canonical order.
-        for job in ordered:
-            if job.at <= 0.0:
-                _submit(job)
-            else:
-                sim.schedule_at(job.at, _submit, job)
-    sim.run()
-    if workload is not None:
-        jobs = [runs_by_key[j.key] for j in workload.sorted_jobs()]
-        run = jobs[0]
-    unfinished = [r.spec.name for r in jobs if r.completed_at is None]
-    if unfinished:
-        raise RuntimeError(
-            f"jobs {unfinished!r} did not complete (event queue drained early)"
+        stats: dict = {"repairs": repair.repairs, "stranded": repair.stranded}
+        if mlu_track[2]:
+            stats["demand_mlu_peak"] = mlu_track[0]
+            stats["demand_mlu_mean"] = mlu_track[1] / mlu_track[2]
+        if chaos_engine is not None:
+            stats.update(
+                install_retries=controller.programmer.install_retries,
+                install_failures=controller.programmer.install_failures,
+                crashes=controller.crashes,
+                resyncs=controller.resyncs,
+                rules_resynced=controller.rules_resynced,
+                stats_samples_skipped=controller.stats_service.samples_skipped,
+            )
+        if pythia is not None:
+            stats.update(
+                rule_hits=pythia.policy.rule_hits,
+                fallbacks=pythia.policy.fallbacks,
+                rules_installed=controller.programmer.rules_installed,
+                peak_rules=controller.programmer.peak_table_size,
+                predictions=pythia.collector.predictions_received,  # type: ignore[union-attr]
+            )
+            if pythia.pipeline is not None:
+                stats["pipeline"] = pythia.pipeline.snapshot()
+            if pythia.lp is not None:
+                stats.update(pythia.lp.snapshot())
+            if pythia.forecast is not None:
+                stats.update(pythia.forecast.snapshot())
+                if pythia.rerouter is not None:
+                    stats.update(
+                        forecast_reroutes=pythia.rerouter.reroutes,
+                        forecast_reroutes_skipped_stale=pythia.rerouter.skipped_stale,
+                    )
+        if hedera is not None:
+            stats.update(reroutes=hedera.reroutes)
+        return RunResult(
+            scheduler=scheduler,
+            ratio=ratio,
+            seed=seed,
+            run=jobs[0],
+            netflow=netflow,
+            topology=topology,
+            sim=sim,
+            collector=pythia.collector if pythia is not None else None,
+            policy_stats=stats,
+            controller=controller,
+            metrics=registry.snapshot() if registry is not None else {},
+            tracer=tracer,
+            invariants=checker.snapshot() if checker is not None else {},
+            faults_injected=dict(chaos_engine.injected) if chaos_engine is not None else {},
+            jobs=jobs,
         )
-    if checker is not None:
-        # Final end-of-run checkpoint regardless of the sampling stride.
-        checker.check()
-
-    stats: dict = {"repairs": repair.repairs, "stranded": repair.stranded}
-    if mlu_track[2]:
-        stats["demand_mlu_peak"] = mlu_track[0]
-        stats["demand_mlu_mean"] = mlu_track[1] / mlu_track[2]
-    if chaos_engine is not None:
-        stats.update(
-            install_retries=controller.programmer.install_retries,
-            install_failures=controller.programmer.install_failures,
-            crashes=controller.crashes,
-            resyncs=controller.resyncs,
-            rules_resynced=controller.rules_resynced,
-            stats_samples_skipped=controller.stats_service.samples_skipped,
-        )
-    if pythia is not None:
-        stats.update(
-            rule_hits=pythia.policy.rule_hits,
-            fallbacks=pythia.policy.fallbacks,
-            rules_installed=controller.programmer.rules_installed,
-            peak_rules=controller.programmer.peak_table_size,
-            predictions=pythia.collector.predictions_received,  # type: ignore[union-attr]
-        )
-        if pythia.pipeline is not None:
-            stats["pipeline"] = pythia.pipeline.snapshot()
-        if pythia.lp is not None:
-            stats.update(pythia.lp.snapshot())
-        if pythia.forecast is not None:
-            stats.update(pythia.forecast.snapshot())
-            if pythia.rerouter is not None:
-                stats.update(
-                    forecast_reroutes=pythia.rerouter.reroutes,
-                    forecast_reroutes_skipped_stale=pythia.rerouter.skipped_stale,
-                )
-    if hedera is not None:
-        stats.update(reroutes=hedera.reroutes)
-    return RunResult(
-        scheduler=scheduler,
-        ratio=ratio,
-        seed=seed,
-        run=run,
-        netflow=netflow,
-        topology=topology,
-        sim=sim,
-        collector=pythia.collector if pythia is not None else None,
-        policy_stats=stats,
-        controller=controller,
-        metrics=registry.snapshot() if registry is not None else {},
-        tracer=tracer,
-        invariants=checker.snapshot() if checker is not None else {},
-        faults_injected=dict(chaos_engine.injected) if chaos_engine is not None else {},
-        jobs=jobs,
-        workload_name=workload.name if workload is not None else "",
-    )
 
 
 def run_pair(

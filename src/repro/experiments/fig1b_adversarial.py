@@ -18,16 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import PythiaConfig
-from repro.core.scheduler import PythiaScheduler
 from repro.instrumentation.messages import PredictionMessage, ReducerLocationMessage
-from repro.sdn.controller import Controller
 from repro.sdn.ecmp import ecmp_index
-from repro.sdn.policy import EcmpPolicy
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import SHUFFLE_PORT, TCP, UDP, FiveTuple, Flow
 from repro.simnet.network import Network
-from repro.simnet.topology import two_rack
+from repro.stack import build_stack
 
 MB = 1e6
 FLOW1_BYTES = 159 * MB      # reducer-0 <- mapper-0, the paper's large flow
@@ -100,16 +96,14 @@ def _mk_flow(src, dst, src_ip, dst_ip, size, port):
 
 def run_fig1b(scheduler: str = "ecmp") -> Fig1bResult:
     """Place the two Figure-1b flows under one scheduler and time them."""
-    sim = Simulator()
-    topo = two_rack()
-    net = Network(sim, topo)
+    if scheduler not in ("ecmp", "pythia"):
+        raise ValueError(f"fig1b compares ecmp and pythia, not {scheduler!r}")
+    stack = build_stack(scheduler)
+    sim, topo, net, ctrl = stack.sim, stack.topology, stack.network, stack.controller
     _load_paths(sim, net, topo)
 
-    if scheduler == "pythia":
-        cfg = PythiaConfig()
-        ctrl = Controller(sim, net, k_paths=cfg.k_paths)
-        sched = PythiaScheduler(cfg)
-        ctrl.register(sched)
+    sched = stack.pythia
+    if sched is not None:
         ctrl.start()
         # warm the link statistics so the allocator sees the 95/5 split
         sim.run(until=3.0)
@@ -136,12 +130,7 @@ def run_fig1b(scheduler: str = "ecmp") -> Fig1bResult:
             )
         )
         sim.run(until=4.0)
-        policy = sched.policy
-    elif scheduler == "ecmp":
-        policy = EcmpPolicy(topo, k=2)
-        ctrl = None
-    else:
-        raise ValueError(f"fig1b compares ecmp and pythia, not {scheduler!r}")
+    policy = stack.policy
 
     # the adversarial draw: flow-1's reducer-side port hashes to the hot path
     f1 = _mk_flow("h00", "h10", "10.0.0", "10.1.0", FLOW1_BYTES,
@@ -150,8 +139,7 @@ def run_fig1b(scheduler: str = "ecmp") -> Fig1bResult:
                   _benign_port("10.0.1", "10.1.1"))
     net.start_flow(f1, policy.place(f1))
     net.start_flow(f2, policy.place(f2))
-    if ctrl is not None:
-        ctrl.stop()
+    ctrl.stop()
     sim.run(until=sim.now + 3600)
     for f in list(net.rigid):
         net.stop_flow(f)

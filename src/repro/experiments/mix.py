@@ -2,8 +2,10 @@
 
 Measures what a cluster operator would: per-job completion times and
 makespan for a synthetic multi-tenant job stream, under ECMP vs Pythia
-on the loaded 2-rack testbed.  The collector/aggregator handle all
-concurrent jobs' predictions simultaneously (keyed by unique job ids).
+on the loaded 2-rack testbed.  The stream runs as a one-tenant fleet
+through :func:`~repro.experiments.common.run_cluster_experiment`; the
+collector/aggregator handle all concurrent jobs' predictions
+simultaneously (keyed by unique job ids).
 """
 
 from __future__ import annotations
@@ -14,21 +16,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import PythiaConfig
-from repro.core.scheduler import PythiaScheduler
-from repro.hadoop.cluster import ClusterConfig, HadoopCluster
-from repro.hadoop.jobtracker import JobTracker
-from repro.instrumentation.decoder import SpillDecoder
-from repro.instrumentation.middleware import (
-    InstrumentationConfig,
-    InstrumentationMiddleware,
-)
-from repro.sdn.controller import Controller
-from repro.sdn.hedera import HederaScheduler
-from repro.sdn.policy import EcmpPolicy, FailureRepairService
-from repro.simnet.background import BackgroundTraffic
-from repro.simnet.engine import Simulator
-from repro.simnet.network import Network
-from repro.simnet.topology import two_rack
+from repro.experiments.common import run_cluster_experiment
+from repro.workloads.cluster import trace_workload
 from repro.workloads.mix import JobArrival, synthesize_mix
 
 
@@ -60,55 +49,20 @@ def run_mix(
 ) -> MixResult:
     """Run a job stream to completion under one scheduler."""
     arrivals = arrivals if arrivals is not None else synthesize_mix(seed=seed)
-    sim = Simulator()
-    rng = np.random.default_rng(seed)
-    topology = two_rack()
-    network = Network(sim, topology)
-    pythia_config = pythia_config or PythiaConfig()
-    controller = Controller(sim, network, k_paths=pythia_config.k_paths)
-    pythia: Optional[PythiaScheduler] = None
-    if scheduler == "pythia":
-        pythia = PythiaScheduler(pythia_config)
-        controller.register(pythia)
-    elif scheduler == "hedera":
-        controller.register(HederaScheduler())
-    elif scheduler != "ecmp":
-        raise ValueError(f"unknown scheduler {scheduler!r}")
-    controller.start()
-    policy = pythia.policy if pythia is not None else EcmpPolicy(topology)
-    FailureRepairService(network, policy)
-    cluster = HadoopCluster(topology, ClusterConfig())
-    jobtracker = JobTracker(sim, network, cluster, policy, rng)
-    if pythia is not None:
-        assert pythia.collector is not None
-        InstrumentationMiddleware(
-            sim,
-            jobtracker,
-            pythia.collector,
-            InstrumentationConfig(decoder=SpillDecoder(0.08)),
-            rng,
-        )
-    background = BackgroundTraffic(network, rng)
-    background.populate(ratio)
-
-    result = MixResult(scheduler=scheduler, ratio=ratio)
-
-    def _done(run) -> None:
-        result.jcts[run.job_id] = run.jct
-        result.makespan = max(result.makespan, sim.now)
-        if len(result.jcts) == len(arrivals):
-            controller.stop()
-            background.teardown()
-
-    for arrival in arrivals:
-        sim.schedule(
-            arrival.at,
-            lambda spec=arrival.spec: jobtracker.submit(spec, on_complete=_done),
-        )
-    sim.run()
-    if len(result.jcts) != len(arrivals):
-        raise RuntimeError("job stream did not drain")
-    return result
+    res = run_cluster_experiment(
+        trace_workload(arrivals),
+        scheduler=scheduler,
+        ratio=ratio,
+        seed=seed,
+        pythia_config=pythia_config,
+        isolated_baselines=False,
+    )
+    return MixResult(
+        scheduler=scheduler,
+        ratio=ratio,
+        jcts={run.job_id: run.jct for run in res.jobs},
+        makespan=max(float(run.completed_at) for run in res.jobs),
+    )
 
 
 def compare_mix(

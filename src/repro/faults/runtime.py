@@ -23,6 +23,7 @@ This module deliberately imports nothing from the simulator so that
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from typing import Iterator, Optional, Protocol
 
@@ -47,6 +48,27 @@ def set_checker(checker: Optional[Watcher]) -> None:
     """Install a process-wide checker (None disables checking)."""
     global _active_checker
     _active_checker = checker
+
+
+def resolve_invariants(invariants: Optional[bool]) -> Optional[tuple[int, str]]:
+    """The effective checking request as ``(stride, scope)``, or None.
+
+    An explicit argument beats the environment.  ``None`` reads
+    ``REPRO_INVARIANTS``: unset or ``0`` is off, ``N`` (N > 1) checks
+    every Nth settle — the knob that keeps suite-wide checking
+    affordable on big runs — and ``full`` forces the whole-fabric audit
+    at every checkpoint instead of the O(component) scoped default.
+    """
+    stride = 1
+    scope = "component"
+    if invariants is None:
+        env = os.environ.get("REPRO_INVARIANTS", "")
+        invariants = env not in ("", "0")
+        if invariants and env.isdigit():
+            stride = max(1, int(env))
+        if env == "full":
+            scope = "full"
+    return (stride, scope) if invariants else None
 
 
 @contextmanager

@@ -19,12 +19,9 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.core.config import PythiaConfig
-from repro.core.scheduler import PythiaScheduler
 from repro.pipeline import replay as replay_mod
-from repro.sdn.controller import Controller
-from repro.simnet.engine import Simulator
-from repro.simnet.network import Network
 from repro.simnet.topology import Topology, fat_tree, leaf_spine, two_rack
+from repro.stack import build_stack
 
 TOPOLOGIES: dict[str, Callable[[], Topology]] = {
     "two_rack": two_rack,
@@ -48,21 +45,12 @@ class PipelineService:
         self.config = cfg
         self.registry = registry if registry is not None else obs.MetricsRegistry()
         with obs.use(registry=self.registry):
-            self.sim = Simulator()
-            self.topology = topology_factory()
-            self.network = Network(self.sim, self.topology)
-            self.controller = Controller(
-                self.sim,
-                self.network,
-                k_paths=cfg.k_paths,
-                stats_period=cfg.stats_period,
-                stats_alpha=cfg.stats_alpha,
-                per_rule_latency=cfg.per_rule_latency,
-                control_rtt=cfg.control_rtt,
-                mgmt_latency=cfg.mgmt_latency,
-            )
-            self.scheduler = PythiaScheduler(cfg)
-            self.controller.register(self.scheduler)
+            stack = build_stack("pythia", cfg, topology_factory)
+            self.sim = stack.sim
+            self.topology = stack.topology
+            self.network = stack.network
+            self.controller = stack.controller
+            self.scheduler = stack.pythia
             # No periodic stats poller: a service with no data-plane
             # flows would otherwise keep the event queue eternally
             # non-empty and sim.run() would never return.

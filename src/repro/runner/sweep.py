@@ -122,10 +122,11 @@ def cell_key(cell: SweepCell, run_kwargs: Optional[dict] = None) -> str:
     """Content digest addressing ``cell``'s result in the cache.
 
     Covers everything that can change the outcome: the spec, scheduler,
-    ratio, seed, the *effective* Pythia/cluster configs and topology
-    (defaults are normalised so ``pythia_config=None`` and an explicit
-    default-constructed config address the same entry), any further
-    run kwargs, and the repro code version.  Raises
+    ratio, seed, the *effective* Pythia/cluster configs, topology and
+    invariant checking (defaults are normalised so ``pythia_config=None``
+    and an explicit default-constructed config address the same entry,
+    and ``invariants=None`` keys on what ``REPRO_INVARIANTS`` selects),
+    any further run kwargs, and the repro code version.  Raises
     :class:`~repro.runner.cache.UncacheableCell` when a kwarg has no
     canonical form (e.g. a lambda fault hook).
     """
@@ -138,6 +139,7 @@ def cell_key(cell: SweepCell, run_kwargs: Optional[dict] = None) -> str:
         "topology": kwargs.pop("topology_factory", None) or two_rack,
         "pythia_config": kwargs.pop("pythia_config", None) or PythiaConfig(),
         "cluster_config": kwargs.pop("cluster_config", None) or ClusterConfig(),
+        "invariants": faults_runtime.resolve_invariants(kwargs.pop("invariants", None)),
         "kwargs": kwargs,
         "code_version": code_version(),
     }

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import PythiaConfig
 from repro.experiments.chain import run_chain
 from repro.workloads.pagerank import pagerank_chain
 
@@ -46,3 +47,28 @@ def test_chain_savings_compound_under_load():
     # savings accrue in (almost) every iteration, not one lucky round
     assert sum(1 for s in per_iter if s > 0) >= chain_len - 1
     assert saving_total == pytest.approx(sum(per_iter), rel=0.05)
+
+
+def test_staged_pipeline_schedules_like_pythia():
+    """The staged pipeline must actually receive the predictions."""
+    res = {
+        name: run_chain(pagerank_chain(iterations=2), scheduler=scheduler,
+                        ratio=10, seed=1, pythia_config=cfg)
+        for name, scheduler, cfg in (
+            ("ecmp", "ecmp", None),
+            ("pythia", "pythia", None),
+            ("staged", "pythia", PythiaConfig(pipeline_mode="staged")),
+        )
+    }
+    assert res["staged"].iteration_jcts == pytest.approx(
+        res["pythia"].iteration_jcts, rel=1e-12
+    )
+    assert res["staged"].total_seconds < res["ecmp"].total_seconds
+
+
+def test_controller_timings_reach_the_controller():
+    """A non-default rule-install latency changes the chain's outcome."""
+    default = run_chain(pagerank_chain(iterations=2), ratio=10, seed=1)
+    slow = run_chain(pagerank_chain(iterations=2), ratio=10, seed=1,
+                     pythia_config=PythiaConfig(per_rule_latency=0.05))
+    assert slow.iteration_jcts != default.iteration_jcts

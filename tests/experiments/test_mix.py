@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import PythiaConfig
 from repro.experiments.mix import compare_mix, run_mix
 from repro.workloads.mix import JobArrival, synthesize_mix
 from repro.workloads.sort import sort_job
@@ -25,7 +26,8 @@ def test_synthesize_mix_deterministic():
     assert [(x.at, x.spec.name, x.spec.input_bytes) for x in a] == [
         (x.at, x.spec.name, x.spec.input_bytes) for x in b
     ]
-    assert synthesize_mix(n_jobs=6, seed=10)[0].spec.input_bytes != a[0].spec.input_bytes or True
+    c = synthesize_mix(n_jobs=6, seed=10)
+    assert [x.at for x in c] != [x.at for x in a]
 
 
 def test_synthesize_mix_validation():
@@ -54,3 +56,22 @@ def test_mix_pythia_beats_ecmp_under_load():
     res = compare_mix(ratio=10, n_jobs=5, seed=2)
     assert res["pythia"].mean_jct < res["ecmp"].mean_jct
     assert res["pythia"].makespan <= res["ecmp"].makespan * 1.05
+
+
+def test_staged_pipeline_schedules_like_pythia():
+    """The staged pipeline must actually receive the predictions: its
+    JCTs equal the monolithic pythia run's, not ECMP's."""
+    runs = {
+        name: run_mix(synthesize_mix(n_jobs=4, seed=2), scheduler=scheduler,
+                      ratio=10, seed=2, pythia_config=cfg)
+        for name, scheduler, cfg in (
+            ("ecmp", "ecmp", None),
+            ("pythia", "pythia", None),
+            ("staged", "pythia", PythiaConfig(pipeline_mode="staged")),
+        )
+    }
+    staged, pythia = runs["staged"].jcts, runs["pythia"].jcts
+    assert staged.keys() == pythia.keys()
+    for job_id, jct in pythia.items():
+        assert staged[job_id] == pytest.approx(jct, rel=1e-12)
+    assert runs["staged"].mean_jct < runs["ecmp"].mean_jct

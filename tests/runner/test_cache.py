@@ -51,6 +51,24 @@ def test_key_covers_config_and_topology():
     assert cell_key(cell, {"netflow_interval": 0.5}) != base
 
 
+def test_key_resolves_invariants_from_environment(monkeypatch):
+    """``invariants=None`` keys on the checking REPRO_INVARIANTS selects,
+    so a checked sweep is never served summaries computed unchecked."""
+    cell = grid()[0]
+    monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
+    unchecked = cell_key(cell)
+    assert cell_key(cell, {"invariants": False}) == unchecked
+    checked = cell_key(cell, {"invariants": True})
+    assert checked != unchecked
+    monkeypatch.setenv("REPRO_INVARIANTS", "1")
+    assert cell_key(cell) == checked
+    assert cell_key(cell, {"invariants": False}) == unchecked
+    monkeypatch.setenv("REPRO_INVARIANTS", "25")
+    strided = cell_key(cell)
+    monkeypatch.setenv("REPRO_INVARIANTS", "full")
+    assert len({unchecked, checked, strided, cell_key(cell)}) == 4
+
+
 def test_lambda_kwargs_are_uncacheable():
     with pytest.raises(UncacheableCell):
         cell_key(grid()[0], {"fault": lambda sim, topo: None})
