@@ -105,6 +105,9 @@ def _run_service(shards, coalesce=True, batch_max=64, rate=None,
     assert core.intents_in == core.intents_installed + core.intents_coalesced
     assert core.double_installs == 0
     snap = service.snapshot()
+    snap["install_budget_seconds"] = service.controller.rule_install_budget(
+        core.max_txn_mods
+    )
     snap["wall_seconds"] = wall
     snap["client"] = client
     snap["messages_per_sec"] = len(tape) / wall
@@ -178,10 +181,7 @@ def test_p99_latency_within_install_budget_at_gated_rate(benchmark):
         return _run_service(shards=2, rate=rate)
 
     core, snap = run_once(benchmark, _paced)
-    budget = (
-        core.programmer.control_rtt
-        + core.programmer.per_rule_latency * max(1, core.max_txn_mods)
-    )
+    budget = snap["install_budget_seconds"]
     e2e = snap["e2e_seconds"]
     allowance = 0.10  # wall-clock scheduling jitter of the worker threads
     assert e2e["p99"] <= budget + allowance, (

@@ -25,6 +25,7 @@ from repro.analysis.report import format_table
 from repro.analysis.speedup import speedup
 from repro.analysis.timeline import job_timeline, phase_fractions, render_timeline
 from repro.experiments.common import run_experiment
+from repro.forecast.models import FORECASTERS
 from repro.stack import SCHEDULERS
 from repro.workloads import HIBENCH, make_workload
 
@@ -47,7 +48,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = make_workload(args.workload, scale=args.scale)
     pythia_config = None
-    if getattr(args, "forecast_mode", "off") != "off":
+    if args.forecast_mode != "off":
         from repro.core.config import PythiaConfig
 
         pythia_config = PythiaConfig(forecast_mode=args.forecast_mode)
@@ -400,38 +401,6 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lp(args: argparse.Namespace) -> int:
-    """LP re-optimization comparison sweep (needs the [lp] extra)."""
-    from repro.core.lp_allocator import HAVE_SCIPY
-    from repro.experiments.lp_comparison import (
-        bench_payload,
-        format_lp_comparison,
-        lp_comparison_sweep,
-    )
-
-    if not HAVE_SCIPY:
-        print(
-            "the LP variants need scipy; install the [lp] extra "
-            "(pip install 'repro[lp]')",
-            file=sys.stderr,
-        )
-        return 2
-    rows = lp_comparison_sweep(
-        ratios=args.ratios,
-        seeds=args.seeds,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-    )
-    print(format_lp_comparison(rows))
-    if args.export:
-        payload = bench_payload(rows, ratios=args.ratios, seeds=args.seeds)
-        with open(args.export, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.export}")
-    return 0
-
-
 def _cmd_record(args: argparse.Namespace) -> int:
     """Run one Pythia job with message recording on and save the tape."""
     from repro.core.config import PythiaConfig
@@ -540,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="over-subscription 1:N (e.g. 10 or 1:10; none = unloaded)")
     run_p.add_argument("--seed", type=int, default=1)
     run_p.add_argument("--forecast-mode", default="off",
-                       choices=["off", "ewma", "holt_winters", "ar"],
+                       choices=["off", *FORECASTERS],
                        help="score allocations against forecast link load "
                             "and reroute elephants proactively (pythia only)")
     run_p.add_argument("--timeline", action="store_true",
@@ -641,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="sort input = 16 GB x scale")
     fc_p.add_argument("--modes", nargs="+",
                       default=["ewma", "holt_winters", "ar"],
-                      choices=["ewma", "holt_winters", "ar"])
+                      choices=list(FORECASTERS))
     fc_p.add_argument("--ratios", type=_parse_ratio, nargs="+", default=[5.0, 10.0])
     fc_p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     fc_p.add_argument("--workers", type=int, default=1)
@@ -651,20 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also sweep these forecast horizons (seconds) "
                            "for the accuracy-vs-lead-time curve")
     fc_p.add_argument("--lead-time-mode", default="holt_winters",
-                      choices=["ewma", "holt_winters", "ar"],
+                      choices=list(FORECASTERS),
                       help="forecaster for the lead-time curve")
-
-    lp_p = sub.add_parser(
-        "lp",
-        help="LP re-optimization sweep: greedy baselines vs the periodic "
-             "global min-MLU / max-throughput re-solve (needs the [lp] extra)",
-    )
-    lp_p.add_argument("--ratios", type=_parse_ratio, nargs="+", default=[5.0, 10.0])
-    lp_p.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    lp_p.add_argument("--workers", type=int, default=1)
-    lp_p.add_argument("--cache-dir", default=None, metavar="DIR")
-    lp_p.add_argument("--export", default=None, metavar="FILE",
-                      help="write the sweep as BENCH_lp.json-style JSON")
 
     mix_p = sub.add_parser("mix", help="run a multi-tenant job stream")
     mix_p.add_argument("--jobs", type=int, default=8)
@@ -717,7 +674,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.forecast_mode != "off" and args.scheduler != "pythia":
+        parser.error(
+            f"--forecast-mode {args.forecast_mode} needs --scheduler pythia "
+            f"(got {args.scheduler})"
+        )
     handler = {
         "list": _cmd_list,
         "run": _cmd_run,
@@ -725,7 +688,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "figure": _cmd_figure,
         "sweep": _cmd_sweep,
         "forecast": _cmd_forecast,
-        "lp": _cmd_lp,
         "mix": _cmd_mix,
         "metrics": _cmd_metrics,
         "trace": _cmd_trace,

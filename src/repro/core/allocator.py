@@ -78,43 +78,29 @@ class _BaseAllocator:
         self._m_planned_hw = self._registry.gauge("allocator.planned_load_bytes")
 
     # ------------------------------------------------------------------
-    def scoring_background(self) -> np.ndarray:
-        """Per-link background load the allocator scores against.
+    def allocate(
+        self, entries: list[AggregateEntry]
+    ) -> list[tuple[AggregateEntry, list[int]]]:
+        """Assign each entry a path; largest predicted volume first.
 
-        The forecast service's prediction when forecasting is on, the
-        measured EWMA otherwise — the one place both the greedy path
-        scorers and the LP re-optimizer read their load picture from.
-        """
-        if self.forecast is not None:
-            return self.forecast.predict_background()
-        return self.stats.background_load_array()
-
-    def scoring_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(capacity, residual, queued) scoring arrays, sentinel-padded.
-
-        Per-link scoring arrays carry one extra sentinel slot at index
-        ``nlinks`` — incidence-matrix rows are padded with that id, so
-        the pad contributes +inf to a min-residual reduction and 0 to
-        a max-queued reduction (queued bytes are never negative).
-        Shared between :meth:`allocate` and the LP allocators so both
-        score against the identical load picture, in the identical
-        floating-point op order.
+        Links are scored against the forecast service's background
+        prediction when forecasting is on, the measured EWMA otherwise.
+        The per-link scoring arrays carry one extra sentinel slot at
+        index ``nlinks`` — incidence-matrix rows are padded with that
+        id, so the pad contributes +inf to a min-residual reduction and
+        0 to a max-queued reduction (queued bytes are never negative).
         """
         capacity = self.network.link_capacity()
-        background = self.scoring_background()
+        if self.forecast is not None:
+            background = self.forecast.predict_background()
+        else:
+            background = self.stats.background_load_array()
         nlinks = len(capacity)
         resid = np.empty(nlinks + 1)
         np.subtract(capacity, background, out=resid[:nlinks])
         resid[nlinks] = np.inf
         queued = np.zeros(nlinks + 1)
         queued[:nlinks] = self._outstanding_bytes() + self._planned
-        return capacity, resid, queued
-
-    def allocate(
-        self, entries: list[AggregateEntry]
-    ) -> list[tuple[AggregateEntry, list[int]]]:
-        """Assign each entry a path; largest predicted volume first."""
-        _, resid, queued = self.scoring_arrays()
         out: list[tuple[AggregateEntry, list[int]]] = []
         if self.ordering == "criticality":
             ordered = sorted(entries, key=lambda e: -e.predicted_bytes)

@@ -76,31 +76,6 @@ class PythiaConfig:
     reroute_min_bytes: float = 8e6
     #: seconds a freshly rerouted flow is left alone.
     reroute_cooldown: float = 2.0
-    #: global LP re-optimization: "off" (default — the greedy
-    #: incremental pipeline, bit-identical to the paper's prototype),
-    #: "min_mlu" (minimise the max link utilisation over all live
-    #: aggregates at once) or "max_throughput" (maximise admitted
-    #: demand rate).  Anything but "off" needs scipy (the ``[lp]``
-    #: extra) and periodically re-solves *every* live placement.
-    lp_mode: str = "off"
-    #: seconds between periodic global re-solves.
-    lp_period: float = 5.0
-    #: relative change in total predicted demand (vs the last solved
-    #: instance) that triggers an immediate re-solve.
-    lp_demand_delta: float = 0.25
-    #: wall-clock solver budget in milliseconds; None derives it from
-    #: the rule-install window the controller has anyway
-    #: (control_rtt + per_rule_latency * rules, in ms).  The budget
-    #: gates CI and the `lp.budget_exceeded` counter — it never alters
-    #: simulation behaviour, so runs stay machine-independent.
-    lp_budget_ms: float | None = None
-    #: transport stall charged per LP-driven live-flow re-placement
-    #: (same physics as reroute_pause).
-    lp_reroute_pause: float = 0.1
-    #: placements are only moved when the solved instance improves the
-    #: objective by at least this relative margin (hysteresis against
-    #: churning rules for noise-level gains).
-    lp_min_improvement: float = 0.0
     #: prediction-ingestion pipeline: "off" (default — the monolithic
     #: collector → allocate → install chain, bit-identical to the
     #: original control path) or "staged" (bounded queues between
@@ -153,31 +128,11 @@ class PythiaConfig:
             raise ValueError("reroute_threshold must be in (0, 1.5]")
         if self.reroute_margin < 0:
             raise ValueError("reroute_margin must be non-negative")
-        if self.lp_mode not in ("off", "min_mlu", "max_throughput"):
-            raise ValueError(
-                f"unknown lp_mode {self.lp_mode!r}; "
-                "choose 'off', 'min_mlu' or 'max_throughput'"
-            )
-        if self.lp_period <= 0:
-            raise ValueError("lp_period must be positive")
-        if self.lp_demand_delta <= 0:
-            raise ValueError("lp_demand_delta must be positive")
-        if self.lp_budget_ms is not None and self.lp_budget_ms <= 0:
-            raise ValueError("lp_budget_ms must be positive")
-        if self.lp_reroute_pause < 0:
-            raise ValueError("lp_reroute_pause must be non-negative")
-        if self.lp_min_improvement < 0:
-            raise ValueError("lp_min_improvement must be non-negative")
         if self.pipeline_mode not in ("off", "staged"):
             raise ValueError(
                 f"unknown pipeline_mode {self.pipeline_mode!r}; "
                 "choose 'off' or 'staged'"
             )
-        if self.pipeline_mode == "staged" and self.lp_mode != "off":
-            # The LP re-optimizer installs rule diffs outside the
-            # pipeline's transaction ledger, which would break its
-            # exactly-once accounting.
-            raise ValueError("pipeline_mode='staged' requires lp_mode='off'")
         if self.pipeline_shards < 1:
             raise ValueError("pipeline_shards must be >= 1")
         if self.pipeline_queue_capacity < 1:

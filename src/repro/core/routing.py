@@ -10,8 +10,7 @@ decision fanned out to many rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,31 +18,6 @@ from repro import obs
 from repro.sdn.topology_service import TopologyService
 from repro.simnet.links import Link
 from repro.simnet.topology import NodeKind, Topology
-
-
-@dataclass
-class LiveIncidence:
-    """Flat (variable, link) incidence over a live aggregate set.
-
-    One variable per (entry, candidate-path) pair, in entry order then
-    candidate order — the LP allocators consume this directly as their
-    constraint matrix.  ``paths[i]`` is entry *i*'s candidate list;
-    ``var_entry[v]`` maps variable *v* back to its entry index;
-    ``var_offset[i]:var_offset[i+1]`` spans entry *i*'s variables.
-    ``pair_var``/``pair_link`` list every (variable, link-id) incidence
-    pair, and ``used_links`` the sorted distinct link ids touched.
-    """
-
-    paths: list[list[list[int]]]
-    var_entry: np.ndarray
-    var_offset: np.ndarray
-    pair_var: np.ndarray
-    pair_link: np.ndarray
-    used_links: np.ndarray
-
-    @property
-    def nvars(self) -> int:
-        return len(self.var_entry)
 
 
 class RoutingGraph:
@@ -84,40 +58,6 @@ class RoutingGraph:
     ) -> tuple[list[list[int]], np.ndarray]:
         """Candidate link-id paths plus their padded incidence matrix."""
         return self.service.k_paths_incidence(src, dst)
-
-    def live_incidence(self, pairs: Sequence[tuple[str, str]]) -> LiveIncidence:
-        """Stacked candidate incidence for a set of live aggregates.
-
-        ``pairs[i]`` is the representative (src, dst) server pair of
-        aggregate *i*.  Entries whose pair currently has no up path
-        contribute zero variables (an empty candidate list) — the LP
-        layer must place those by fallback.
-        """
-        paths: list[list[list[int]]] = []
-        var_entry: list[int] = []
-        var_offset = [0]
-        pair_var: list[int] = []
-        pair_link: list[int] = []
-        v = 0
-        for i, (src, dst) in enumerate(pairs):
-            cands = self.candidate_paths(src, dst)
-            paths.append(cands)
-            for path in cands:
-                var_entry.append(i)
-                for lid in path:
-                    pair_var.append(v)
-                    pair_link.append(lid)
-                v += 1
-            var_offset.append(v)
-        link_arr = np.asarray(pair_link, dtype=np.intp)
-        return LiveIncidence(
-            paths=paths,
-            var_entry=np.asarray(var_entry, dtype=np.intp),
-            var_offset=np.asarray(var_offset, dtype=np.intp),
-            pair_var=np.asarray(pair_var, dtype=np.intp),
-            pair_link=link_arr,
-            used_links=np.unique(link_arr),
-        )
 
     def switch_backbone(self, lids: list[int]) -> tuple[str, ...]:
         """The switch-only node subsequence of a path (the trunk choice)."""

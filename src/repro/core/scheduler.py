@@ -124,8 +124,6 @@ class PythiaScheduler:
         #: config.forecast_mode != "off"; None otherwise.
         self.forecast = None
         self.rerouter = None
-        #: LpReoptimizer, wired in start() when config.lp_mode != "off".
-        self.lp = None
         #: PipelineCore + its inline driver, wired in start() when
         #: config.pipeline_mode == "staged"; None otherwise.
         self.pipeline = None
@@ -222,36 +220,9 @@ class PythiaScheduler:
             self.routing,
             weigher=self._reducer_weight if self.config.weighted_shuffle else None,
         )
-        if self.config.lp_mode != "off":
-            # Imported here so the greedy pipeline never touches scipy
-            # (the [lp] extra stays genuinely optional).
-            from repro.core.lp_allocator import HAVE_SCIPY, LpReoptimizer
-
-            if not HAVE_SCIPY:
-                raise RuntimeError(
-                    f"lp_mode={self.config.lp_mode!r} requires scipy; "
-                    "install the [lp] extra (pip install 'repro[lp]')"
-                )
-            self.lp = LpReoptimizer(
-                controller.sim,
-                self.config,
-                self.routing,
-                self.aggregator,
-                self.allocator,
-                controller.network,
-                controller.programmer,
-                rules_for=self._rules_for,
-            )
-            # version bumps in *either* direction (failure and restore)
-            # trigger a global re-solve; the greedy failure repair above
-            # still runs first, the LP then cleans up globally.
-            controller.topology_service.on_change(self.lp.on_topology_change)
-            self.lp.start()
 
     def stop(self) -> None:
-        """Halt the LP re-solve loop; the collector is event-driven."""
-        if self.lp is not None:
-            self.lp.stop()
+        """Nothing to halt: the collector and pipeline are event-driven."""
 
     def resync(self) -> int:
         """Reconcile switch tables with current intent after an outage.
@@ -312,8 +283,6 @@ class PythiaScheduler:
             rules.extend(self._rules_for(entry, path))
         if rules:
             self.controller.programmer.install(rules)
-        if self.lp is not None:
-            self.lp.note_demand()
 
     def _rules_for(
         self,
@@ -328,7 +297,7 @@ class PythiaScheduler:
         member pairs not yet covered, which keeps switch-programming
         traffic and table pressure down (§IV's state-conservation aim).
         When ``removed`` is given, displaced rules are collected there
-        instead of being removed immediately — the LP re-optimizer
+        instead of being removed immediately — the staged pipeline
         sends the whole diff as one batched flow-mod transaction.
         """
         assert self.routing is not None and self.controller is not None

@@ -285,10 +285,10 @@ def run_jobs(
     """Build the full experiment stack, let ``drive`` submit jobs, run.
 
     The stack is assembled in a fixed order — control plane
-    (:func:`~repro.stack.build_stack`), Hadoop, instrumentation, the
-    demand-MLU probe, NetFlow, background traffic, faults, chaos, then
-    the driver's submissions — because construction order decides how
-    same-instant events break ties.  ``predicted_overhead`` configures
+    (:func:`~repro.stack.build_stack`), Hadoop, instrumentation,
+    NetFlow, background traffic, faults, chaos, then the driver's
+    submissions — because construction order decides how same-instant
+    events break ties.  ``predicted_overhead`` configures
     the middleware's spill decoder.  The remaining parameters are those
     of :func:`run_experiment`.  ``RunResult.jobs`` lists the driver's
     runs in submission order; ``RunResult.run`` is the first of them.
@@ -325,33 +325,6 @@ def run_jobs(
                 ),
                 rng,
             )
-
-        # Demand-based max-link-utilisation, sampled on the stats period:
-        # offered shuffle load (remaining bytes over the demand horizon,
-        # charged to each live flow's current path) plus the rigid
-        # background rate, against capacity.  Realised fluid rates always
-        # saturate *some* bottleneck under max-min filling, so placement
-        # quality only shows in the offered-load picture — this is the MLU
-        # the min-MLU LP optimises, measured uniformly for every scheduler.
-        mlu_track = [0.0, 0.0, 0]  # peak, sum, samples
-
-        def _mlu_sample(now: float, dt: float, gap: float) -> None:
-            caps = network.link_capacity()
-            rigid = network.link_load() - network.link_elastic_load()
-            load = rigid
-            horizon = pythia_config.demand_horizon
-            for f in network.elastic:
-                if f.is_shuffle() and f.remaining > 0 and f.path:
-                    load[np.asarray(f.path, dtype=np.intp)] += f.remaining / horizon
-            with np.errstate(divide="ignore", invalid="ignore"):
-                util = np.where(caps > 0, load / np.where(caps > 0, caps, 1.0), 0.0)
-            m = float(util.max())
-            if m > mlu_track[0]:
-                mlu_track[0] = m
-            mlu_track[1] += m
-            mlu_track[2] += 1
-
-        controller.stats_service.add_sample_hook(_mlu_sample)
 
         netflow = NetFlowCollector(sim, network, interval=netflow_interval)
         background = BackgroundTraffic(network, rng)
@@ -390,9 +363,6 @@ def run_jobs(
             checker.check()
 
         stats: dict = {"repairs": repair.repairs, "stranded": repair.stranded}
-        if mlu_track[2]:
-            stats["demand_mlu_peak"] = mlu_track[0]
-            stats["demand_mlu_mean"] = mlu_track[1] / mlu_track[2]
         if chaos_engine is not None:
             stats.update(
                 install_retries=controller.programmer.install_retries,
@@ -412,8 +382,6 @@ def run_jobs(
             )
             if pythia.pipeline is not None:
                 stats["pipeline"] = pythia.pipeline.snapshot()
-            if pythia.lp is not None:
-                stats.update(pythia.lp.snapshot())
             if pythia.forecast is not None:
                 stats.update(pythia.forecast.snapshot())
                 if pythia.rerouter is not None:

@@ -76,10 +76,12 @@ class Controller:
     def rule_install_budget(self, nrules: int = 1) -> float:
         """Seconds the control plane needs to program an n-rule batch.
 
-        The window a preemptive re-placement pass (the LP re-optimizer)
-        has to produce its answer: any solver that outruns the install
-        latency of the rules it would change adds no critical-path
-        delay.  CI gates the measured `lp.solve_ms` against this.
+        The modelled latency of one flow-mod transaction: one control
+        RTT plus the per-rule programming time.  The staged pipeline's
+        p99 prediction-to-install gate (``benchmarks/test_pipeline.py``)
+        is held to this budget for the largest transaction it issued,
+        and the controller-replay benchmark derives its 258 ms p99 limit
+        from the same formula at ``pipeline_batch_max`` = 64 rules.
         """
         return (
             self.programmer.control_rtt

@@ -232,9 +232,9 @@ class FlowProgrammer:
     ) -> float:
         """One batched flow-mod transaction: deletions plus installs.
 
-        Re-placement passes (the LP re-optimizer) touch many aggregates
-        at once; sending the whole diff as a single transaction charges
-        one control RTT for the lot while still paying per-rule
+        The staged pipeline's install stage merges the diffs of many
+        aggregates; sending the whole diff as a single transaction
+        charges one control RTT for the lot while still paying per-rule
         programming latency for every mod, deletions included.
         Deletions take effect immediately (the table stops matching the
         old rules as soon as the controller decides), exactly like the

@@ -88,8 +88,3 @@ def test_staged_controller_outage_conserves_intents(down):
     )
     assert snap["double_installs"] == 0
     assert res.controller.programmer.pending_installs == 0
-
-
-def test_staged_rejects_lp_mode():
-    with pytest.raises(ValueError):
-        PythiaConfig(pipeline_mode="staged", lp_mode="periodic")

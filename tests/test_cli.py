@@ -56,6 +56,30 @@ def test_bad_workload_rejected():
         build_parser().parse_args(["run", "--workload", "hive-join"])
 
 
+@pytest.mark.parametrize("scheduler", ["ecmp", "hedera"])
+def test_forecast_mode_rejected_without_pythia(scheduler, capsys):
+    """Only the Pythia scheduler consumes a forecaster; any other
+    scheduler would silently run without it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--workload", "sort", "--scale", "0.01",
+              "--scheduler", scheduler, "--forecast-mode", "ar"])
+    assert exc.value.code == 2
+    assert "--scheduler pythia" in capsys.readouterr().err
+
+
+def test_forecast_choices_follow_the_registry(monkeypatch):
+    from repro.forecast.models import FORECASTERS
+
+    monkeypatch.setitem(FORECASTERS, "naive", FORECASTERS["ewma"])
+    parser = build_parser()
+    assert parser.parse_args(["run", "--forecast-mode", "naive"]).forecast_mode == "naive"
+    args = parser.parse_args(["forecast", "--modes", "naive", "--lead-time-mode", "naive"])
+    assert args.modes == ["naive"] and args.lead_time_mode == "naive"
+    defaults = parser.parse_args(["forecast"])
+    assert defaults.modes == ["ewma", "holt_winters", "ar"]
+    assert defaults.lead_time_mode == "holt_winters"
+
+
 def test_run_with_export(tmp_path, capsys):
     out = tmp_path / "run.json"
     rc = main(
