@@ -609,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     fc_p.add_argument("--scale", type=float, default=0.05,
                       help="sort input = 16 GB x scale")
     fc_p.add_argument("--modes", nargs="+",
-                      default=["ewma", "holt_winters", "ar"],
+                      default=["ewma", "ar"],
                       choices=list(FORECASTERS))
     fc_p.add_argument("--ratios", type=_parse_ratio, nargs="+", default=[5.0, 10.0])
     fc_p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="H",
                       help="also sweep these forecast horizons (seconds) "
                            "for the accuracy-vs-lead-time curve")
-    fc_p.add_argument("--lead-time-mode", default="holt_winters",
+    fc_p.add_argument("--lead-time-mode", default="ar",
                       choices=list(FORECASTERS),
                       help="forecaster for the lead-time curve")
 

@@ -21,8 +21,10 @@ flow-criticality ordering the paper contrasts with Hedera (§VI).
 Because §IV notes the design "is modular enough to support further flow
 scheduling algorithms", two alternates ship alongside the paper's
 heuristic: best-fit (tightest path whose residual still covers the
-expected demand) and water-filling (most-balanced post-placement
-utilisation); the ablation benchmark compares all three.
+expected demand) and water-filling (first-fit's ETA objective, but
+entries whose ETA and queued bytes tie at 1e-6 rounding go round-robin
+across the tied paths instead of always to the first); the ablation
+benchmark compares all three.
 """
 
 from __future__ import annotations
@@ -111,17 +113,10 @@ class _BaseAllocator:
             raw_paths, inc = self.routing.candidate_incidence(src, dst)
             if not raw_paths:
                 continue
-            raw_headroom = resid[inc].min(axis=1)
-            residuals = np.maximum(raw_headroom, _RATE_FLOOR)
+            residuals = np.maximum(resid[inc].min(axis=1), _RATE_FLOOR)
             queued_bytes = queued[inc].max(axis=1)
             delta = self._unplanned_bytes(entry)
-            # Unrounded, unfloored forecast headroom — only offered as
-            # a tie-break signal when forecasting is enabled, so the
-            # measured-load pipeline stays bit-identical.
-            headroom = raw_headroom if self.forecast is not None else None
-            idx = self._choose(
-                raw_paths, residuals, queued_bytes, delta, forecast_headroom=headroom
-            )
+            idx = self._choose(raw_paths, residuals, queued_bytes, delta)
             chosen = raw_paths[idx]
             chosen_arr = np.asarray(chosen, dtype=np.intp)
             self._plan(chosen_arr, delta)
@@ -184,7 +179,6 @@ class _BaseAllocator:
         residuals: np.ndarray,
         queued_bytes: np.ndarray,
         delta: float,
-        forecast_headroom: np.ndarray | None = None,
     ) -> int:
         raise NotImplementedError
 
@@ -204,7 +198,7 @@ class FirstFitAllocator(_BaseAllocator):
 
     name = "first_fit"
 
-    def _choose(self, paths, residuals, queued_bytes, delta, forecast_headroom=None) -> int:
+    def _choose(self, paths, residuals, queued_bytes, delta) -> int:
         etas = self._eta(residuals, queued_bytes, delta)
         return int(np.argmin(etas))
 
@@ -214,7 +208,7 @@ class BestFitAllocator(_BaseAllocator):
 
     name = "best_fit"
 
-    def _choose(self, paths, residuals, queued_bytes, delta, forecast_headroom=None) -> int:
+    def _choose(self, paths, residuals, queued_bytes, delta) -> int:
         residuals = np.asarray(residuals, dtype=float)
         queued_bytes = np.asarray(queued_bytes, dtype=float)
         demand_rate = delta / self.demand_horizon
@@ -230,7 +224,7 @@ class BestFitAllocator(_BaseAllocator):
 
 
 class WaterFillingAllocator(_BaseAllocator):
-    """Balance post-placement queue drain time across paths."""
+    """First-fit's ETA objective with a round-robin among rounded ties."""
 
     name = "water_filling"
 
@@ -238,7 +232,7 @@ class WaterFillingAllocator(_BaseAllocator):
         super().__init__(*args, **kwargs)
         self._rotation = 0
 
-    def _choose(self, paths, residuals, queued_bytes, delta, forecast_headroom=None) -> int:
+    def _choose(self, paths, residuals, queued_bytes, delta) -> int:
         # Identical objective to first-fit for a single entry, but the
         # tie-break spreads equal-ETA entries round-robin rather than
         # always taking the first path.
@@ -251,14 +245,6 @@ class WaterFillingAllocator(_BaseAllocator):
         ]
         best = min(keys)
         tied = [i for i, k in enumerate(keys) if k == best]
-        if forecast_headroom is not None and len(tied) > 1:
-            # Forecast-informed tie-break: rounding collapsed the ETA
-            # difference, but the unrounded forecast headroom still
-            # discriminates — prefer the path with the most predicted
-            # slack instead of rotating blindly, which under symmetric
-            # Clos fabrics systematically favours early path indices.
-            best_h = max(float(forecast_headroom[i]) for i in tied)
-            tied = [i for i in tied if float(forecast_headroom[i]) == best_h]
         choice = tied[self._rotation % len(tied)]
         self._rotation += 1
         return choice

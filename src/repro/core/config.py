@@ -29,8 +29,6 @@ class PythiaConfig:
     control_rtt: float = 0.002
     #: one-way management-network latency (out-of-band, §III).
     mgmt_latency: float = 0.002
-    #: rule priority for Pythia aggregates (above the ECMP default of 0).
-    rule_priority: int = 10
     #: allocation algorithm: "first_fit" (the paper's heuristic),
     #: "best_fit", or "water_filling" (the §IV "further flow scheduling
     #: algorithms" extension point).
@@ -50,32 +48,15 @@ class PythiaConfig:
     #: network capacity".  Off by default (the paper's prototype routes
     #: but does not rate-weight).
     weighted_shuffle: bool = False
-    #: clamp range for per-flow weights when weighted_shuffle is on.
-    weight_clamp: tuple = (0.25, 8.0)
     #: background-load forecaster: "off" (score against the measured
-    #: EWMA, the paper's prototype behaviour) or a name registered in
-    #: :data:`repro.forecast.models.FORECASTERS` ("ewma",
-    #: "holt_winters", "ar").  Anything but "off" makes the allocator
-    #: score path residuals against forecast(now + forecast_horizon).
+    #: EWMA, the paper's prototype behaviour) or a key of
+    #: :data:`repro.forecast.models.FORECASTERS` ("ewma", "ar").
+    #: Anything but "off" makes the allocator score path residuals
+    #: against forecast(now + forecast_horizon) and runs the proactive
+    #: elephant rerouter with its default guard rails.
     forecast_mode: str = "off"
     #: seconds ahead the forecaster predicts for allocation/rerouting.
     forecast_horizon: float = 5.0
-    #: stats staleness beyond which forecasts degrade to the measured
-    #: EWMA; None means 3 x stats_period.
-    forecast_stale_after: float | None = None
-    #: run the proactive elephant rerouter when forecasting is on.
-    forecast_reroute: bool = True
-    #: forecast utilisation above which a link counts as saturating.
-    reroute_threshold: float = 0.85
-    #: minimum peak-utilisation improvement a reroute must deliver.
-    reroute_margin: float = 0.05
-    #: transport stall charged per proactive reroute (same physics as
-    #: the Hedera baseline's mid-flight path change).
-    reroute_pause: float = 0.1
-    #: flows with less left than this cannot amortise a reroute.
-    reroute_min_bytes: float = 8e6
-    #: seconds a freshly rerouted flow is left alone.
-    reroute_cooldown: float = 2.0
     #: prediction-ingestion pipeline: "off" (default — the monolithic
     #: collector → allocate → install chain, bit-identical to the
     #: original control path) or "staged" (bounded queues between
@@ -102,32 +83,35 @@ class PythiaConfig:
             raise ValueError("k_paths must be >= 1")
         if self.demand_horizon <= 0:
             raise ValueError("demand_horizon must be positive")
-        if self.allocation not in ("first_fit", "best_fit", "water_filling"):
-            raise ValueError(f"unknown allocation {self.allocation!r}")
+        if self.stats_period <= 0:
+            raise ValueError("stats_period must be positive")
+        if not 0.0 < self.stats_alpha <= 1.0:
+            raise ValueError("stats_alpha must be in (0, 1]")
+        # Names are validated against the allocator and forecaster
+        # tables lazily (config is imported everywhere, and the forecast
+        # package stays unloaded while forecasting is off) — unknown
+        # names still fail fast at construction time.
+        from repro.core.allocator import _ALLOCATORS
+
+        if self.allocation not in _ALLOCATORS:
+            raise ValueError(
+                f"unknown allocation {self.allocation!r}; "
+                f"choose one of {sorted(_ALLOCATORS)}"
+            )
         if self.aggregation not in ("server_pair", "rack_pair"):
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.ordering not in ("criticality", "arrival"):
             raise ValueError(f"unknown ordering {self.ordering!r}")
         if self.forecast_mode != "off":
-            # Validated against the registry lazily (import cycle: the
-            # forecast package imports nothing from core, but config is
-            # imported everywhere) — unknown names still fail fast at
-            # construction time.
             from repro.forecast.models import FORECASTERS
 
             if self.forecast_mode not in FORECASTERS:
                 raise ValueError(
                     f"unknown forecast_mode {self.forecast_mode!r}; "
-                    f"registered: {sorted(FORECASTERS)} (or 'off')"
+                    f"choose 'off' or one of {sorted(FORECASTERS)}"
                 )
         if self.forecast_horizon <= 0:
             raise ValueError("forecast_horizon must be positive")
-        if self.forecast_stale_after is not None and self.forecast_stale_after <= 0:
-            raise ValueError("forecast_stale_after must be positive")
-        if not 0.0 < self.reroute_threshold <= 1.5:
-            raise ValueError("reroute_threshold must be in (0, 1.5]")
-        if self.reroute_margin < 0:
-            raise ValueError("reroute_margin must be non-negative")
         if self.pipeline_mode not in ("off", "staged"):
             raise ValueError(
                 f"unknown pipeline_mode {self.pipeline_mode!r}; "

@@ -28,6 +28,11 @@ from repro.sdn.policy import EcmpPolicy
 from repro.sdn.programming import FlowProgrammer, Match, Rule
 from repro.simnet.flows import SHUFFLE_PORT, Flow
 
+#: rule priority for Pythia aggregates (above the ECMP default of 0).
+RULE_PRIORITY = 10
+#: clamp range for per-flow weights when weighted_shuffle is on.
+WEIGHT_CLAMP = (0.25, 8.0)
+
 
 class PythiaPolicy:
     """Path policy backed by the installed Pythia rules, ECMP fallback."""
@@ -189,20 +194,13 @@ class PythiaScheduler:
                 controller.stats_service,
                 forecaster,
                 horizon=self.config.forecast_horizon,
-                stale_after=self.config.forecast_stale_after,
             )
-            if self.config.forecast_reroute:
-                self.rerouter = ProactiveRerouter(
-                    controller.network,
-                    controller.stats_service,
-                    self.forecast,
-                    controller.topology_service,
-                    threshold=self.config.reroute_threshold,
-                    margin=self.config.reroute_margin,
-                    pause=self.config.reroute_pause,
-                    min_remaining_bytes=self.config.reroute_min_bytes,
-                    cooldown=self.config.reroute_cooldown,
-                )
+            self.rerouter = ProactiveRerouter(
+                controller.network,
+                controller.stats_service,
+                self.forecast,
+                controller.topology_service,
+            )
         self.allocator = make_allocator(
             self.config.allocation,
             controller.sim,
@@ -352,7 +350,7 @@ class PythiaScheduler:
                         src_port=SHUFFLE_PORT,
                     ),
                     path=pair_path,
-                    priority=self.config.rule_priority,
+                    priority=RULE_PRIORITY,
                 )
             ]
         rules: list[Rule] = []
@@ -375,7 +373,7 @@ class PythiaScheduler:
                         src_port=SHUFFLE_PORT,
                     ),
                     path=pair_path,
-                    priority=self.config.rule_priority,
+                    priority=RULE_PRIORITY,
                 )
             )
         return rules
@@ -401,7 +399,7 @@ class PythiaScheduler:
         mean = sum(volumes) / len(volumes)
         if mean <= 0:
             return 1.0
-        lo, hi = self.config.weight_clamp
+        lo, hi = WEIGHT_CLAMP
         return float(min(hi, max(lo, own / mean)))
 
     def _on_link_failure(self, link) -> None:

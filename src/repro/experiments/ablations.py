@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.report import format_table
+from repro.core.allocator import _ALLOCATORS
 from repro.core.config import PythiaConfig
 from repro.experiments.common import run_experiment
 from repro.simnet.topology import leaf_spine
@@ -83,7 +84,7 @@ def ablate_schedulers(
 def ablate_allocators(ratio: Optional[float] = 10, seed: int = 1) -> list[AblationRow]:
     """A1b: the three flow-scheduling algorithms behind §IV's plug point."""
     rows = []
-    for kind in ("first_fit", "best_fit", "water_filling"):
+    for kind in _ALLOCATORS:
         res = run_experiment(
             sort_job(input_gb=12.0),
             scheduler="pythia",

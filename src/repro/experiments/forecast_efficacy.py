@@ -48,7 +48,7 @@ from repro.workloads import sort_job
 DEFAULT_RAMP = BackgroundRamp(at=5.0, duration=8.0, rate=60e6, steps=4, path_index=1)
 
 #: the forecasters under evaluation, in report order.
-DEFAULT_MODES: tuple[str, ...] = ("ewma", "holt_winters", "ar")
+DEFAULT_MODES: tuple[str, ...] = ("ewma", "ar")
 
 DEFAULT_RATIOS: tuple[Optional[float], ...] = (5, 10)
 
@@ -67,8 +67,10 @@ class EfficacyRow:
     mean_jct: float
     std_jct: float
     samples: tuple[float, ...]
-    #: mean streaming forecast MAE (bytes/s); 0 for non-forecast variants.
-    forecast_mae: float = 0.0
+    #: mean streaming forecast MAE (bytes/s) over the runs that scored
+    #: at least one matured forecast; None when no run did (non-forecast
+    #: variants, or horizons every job ends before).
+    forecast_mae: Optional[float] = None
     #: mean proactive reroutes per run; 0 for non-forecast variants.
     reroutes: float = 0.0
     #: mean measured-EWMA fallbacks per run (staleness indicator).
@@ -82,7 +84,8 @@ class LeadTimeRow:
     horizon: float
     mean_jct: float
     std_jct: float
-    forecast_mae: float
+    #: as :attr:`EfficacyRow.forecast_mae`.
+    forecast_mae: Optional[float]
     reroutes: float
 
 
@@ -98,13 +101,20 @@ def _aggregate(
         vals = [st.get(key, 0.0) for st in stats]
         return float(np.mean(vals)) if vals else 0.0
 
+    # A run that matured no forecast reports an MAE of 0; averaging it
+    # in would score it as perfect.
+    maes = [
+        st["forecast_mae_bytes"]
+        for st in stats
+        if st.get("forecast_evaluations", 0) > 0
+    ]
     return EfficacyRow(
         variant=variant,
         ratio=ratio,
         mean_jct=float(np.mean(jcts)),
         std_jct=float(np.std(jcts, ddof=1)) if len(jcts) > 1 else 0.0,
         samples=tuple(jcts),
-        forecast_mae=mean_of("forecast_mae_bytes"),
+        forecast_mae=float(np.mean(maes)) if maes else None,
         reroutes=mean_of("forecast_reroutes"),
         stale_fallbacks=mean_of("forecast_stale_fallbacks"),
     )
@@ -167,7 +177,7 @@ def forecast_efficacy_sweep(
 
 
 def forecast_lead_time_curve(
-    mode: str = "holt_winters",
+    mode: str = "ar",
     horizons: Sequence[float] = (1.0, 2.0, 5.0, 10.0),
     spec_factory: Callable[[], JobSpec] = default_spec,
     ratio: Optional[float] = 5,
@@ -185,22 +195,21 @@ def forecast_lead_time_curve(
         report = run_cells(
             cells, workers=workers, cache_dir=cache_dir, run_kwargs=run_kwargs
         )
-        jcts = [s.jct for s in report.summaries]
-        stats = [s.policy_stats for s in report.summaries]
+        agg = _aggregate(f"pythia+{mode}", ratio, report.summaries)
         rows.append(
             LeadTimeRow(
                 horizon=horizon,
-                mean_jct=float(np.mean(jcts)),
-                std_jct=float(np.std(jcts, ddof=1)) if len(jcts) > 1 else 0.0,
-                forecast_mae=float(
-                    np.mean([st.get("forecast_mae_bytes", 0.0) for st in stats])
-                ),
-                reroutes=float(
-                    np.mean([st.get("forecast_reroutes", 0.0) for st in stats])
-                ),
+                mean_jct=agg.mean_jct,
+                std_jct=agg.std_jct,
+                forecast_mae=agg.forecast_mae,
+                reroutes=agg.reroutes,
             )
         )
     return rows
+
+
+def _format_mae(mae: Optional[float]) -> str:
+    return "n/a" if mae is None else f"{mae / 1e6:.2f}"
 
 
 def format_efficacy(rows: Sequence[EfficacyRow]) -> str:
@@ -213,7 +222,7 @@ def format_efficacy(rows: Sequence[EfficacyRow]) -> str:
                 "none" if r.ratio is None else f"1:{r.ratio:g}",
                 f"{r.mean_jct:.2f}",
                 f"{r.std_jct:.2f}",
-                f"{r.forecast_mae / 1e6:.2f}",
+                _format_mae(r.forecast_mae),
                 f"{r.reroutes:.1f}",
                 f"{r.stale_fallbacks:.1f}",
             )
@@ -231,7 +240,7 @@ def format_lead_time(rows: Sequence[LeadTimeRow]) -> str:
                 f"{r.horizon:g}",
                 f"{r.mean_jct:.2f}",
                 f"{r.std_jct:.2f}",
-                f"{r.forecast_mae / 1e6:.2f}",
+                _format_mae(r.forecast_mae),
                 f"{r.reroutes:.1f}",
             )
             for r in rows

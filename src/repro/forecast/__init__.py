@@ -12,10 +12,8 @@ from repro.forecast.models import (
     ARForecaster,
     EwmaExtrapolationForecaster,
     FORECASTERS,
-    HoltWintersForecaster,
     LinkLoadForecaster,
     make_forecaster,
-    register_forecaster,
 )
 from repro.forecast.reroute import ProactiveRerouter
 from repro.forecast.service import ForecastService
@@ -25,9 +23,7 @@ __all__ = [
     "EwmaExtrapolationForecaster",
     "FORECASTERS",
     "ForecastService",
-    "HoltWintersForecaster",
     "LinkLoadForecaster",
     "ProactiveRerouter",
     "make_forecaster",
-    "register_forecaster",
 ]

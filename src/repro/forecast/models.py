@@ -16,15 +16,13 @@ Every model is vectorised across links — state is a handful of
 ``(nlinks,)`` arrays, one ``observe`` per stats poll — and every model
 follows the same discipline after a frozen-stats gap: :meth:`reset`
 drops trend/window state (the series across the gap is not a
-contiguous sample) while keeping the last level, so the first post-thaw
-predictions degrade to level-extrapolation instead of extrapolating a
-trend fitted across missing data.
+contiguous sample), so no trend fitted across missing data is ever
+extrapolated.  The flat EWMA keeps its level; AR empties its window
+and the forecast service answers with the measured EWMA until it
+re-warms.
 
-Models register themselves in :data:`FORECASTERS`;
-:attr:`~repro.core.config.PythiaConfig.forecast_mode` is validated
-against that registry, and new models (learned predictors, e.g. the
-TCN link-bandwidth model of HuaZheng's FYP) plug in via
-:func:`register_forecaster` without touching the allocator.
+Two models ship, named in :data:`FORECASTERS`: the flat EWMA baseline
+and a per-link AR(p).
 """
 
 from __future__ import annotations
@@ -96,87 +94,6 @@ class EwmaExtrapolationForecaster:
     def reset(self) -> None:
         # A flat level has no trend to discount; keep it.
         pass
-
-
-class HoltWintersForecaster:
-    """Holt's damped double exponential smoothing (level + trend per link).
-
-    The standard damped-trend recurrence, one step per stats poll::
-
-        level' = alpha * x + (1 - alpha) * (level + phi * trend)
-        trend' = beta * (level' - level) + (1 - beta) * phi * trend
-        predict(h) = level' + (phi + phi^2 + ... + phi^steps) * trend'
-
-    where ``steps = h / period``.  No seasonal term: datacenter
-    background load over a 10-second allocation horizon is
-    trend-dominated, and the stats period gives the step-to-seconds
-    conversion.  The damping factor ``phi`` (Gardner–McKenzie) matters
-    here more than in most settings because the input series is already
-    EWMA-smoothed — an undamped trend extrapolated several steps
-    overshoots every load change badly enough to misplace allocations;
-    ``phi=1`` recovers classic undamped Holt.  Initialisation follows
-    the textbook form (level = x0, trend = x1 - x0 after two samples),
-    so tests can assert closed-form expectations exactly.
-    """
-
-    name = "holt_winters"
-
-    def __init__(
-        self,
-        nlinks: int,
-        period: float = 1.0,
-        alpha: float = 0.5,
-        beta: float = 0.3,
-        phi: float = 0.8,
-    ) -> None:
-        if nlinks < 1:
-            raise ValueError("nlinks must be >= 1")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0.0 < beta <= 1.0:
-            raise ValueError("beta must be in (0, 1]")
-        if not 0.0 < phi <= 1.0:
-            raise ValueError("phi must be in (0, 1]")
-        self.period = period
-        self.alpha = alpha
-        self.beta = beta
-        self.phi = phi
-        self._level = np.zeros(nlinks)
-        self._trend = np.zeros(nlinks)
-        self._observations = 0
-
-    def observe(self, now: float, values: np.ndarray) -> None:
-        x = np.asarray(values, dtype=float)
-        if self._observations == 0:
-            self._level = x.copy()
-        elif self._observations == 1:
-            self._trend = x - self._level
-            self._level = x.copy()
-        else:
-            prev = self._level
-            damped = self.phi * self._trend
-            self._level = self.alpha * x + (1.0 - self.alpha) * (prev + damped)
-            self._trend = self.beta * (self._level - prev) + (1.0 - self.beta) * damped
-        self._observations += 1
-
-    def predict(self, horizon: float) -> np.ndarray:
-        steps = horizon / self.period
-        if self.phi == 1.0:
-            weight = steps
-        else:
-            # sum of phi^i for i = 1..steps, extended to fractional
-            # steps through the continuous geometric partial sum.
-            weight = self.phi * (1.0 - self.phi**steps) / (1.0 - self.phi)
-        return self._level + weight * self._trend
-
-    def ready(self) -> bool:
-        return self._observations >= 2
-
-    def reset(self) -> None:
-        # Keep the level (it is still the best point estimate) but drop
-        # the trend: it was fitted on samples from before the gap.
-        self._trend = np.zeros_like(self._trend)
-        self._observations = min(self._observations, 1)
 
 
 class ARForecaster:
@@ -261,26 +178,21 @@ class ARForecaster:
         return lags[:, 0] * scale
 
 
-#: model-name -> factory(nlinks, period, **kwargs) registry.
-FORECASTERS: dict[str, Callable[..., LinkLoadForecaster]] = {}
-
-
-def register_forecaster(name: str, factory: Callable[..., LinkLoadForecaster]) -> None:
-    """Add (or replace) a forecaster factory under ``name``."""
-    FORECASTERS[name] = factory
+#: model-name -> factory(nlinks, period, **kwargs);
+#: :attr:`~repro.core.config.PythiaConfig.forecast_mode` is validated
+#: against these keys.
+FORECASTERS: dict[str, Callable[..., LinkLoadForecaster]] = {
+    "ewma": EwmaExtrapolationForecaster,
+    "ar": ARForecaster,
+}
 
 
 def make_forecaster(name: str, nlinks: int, period: float = 1.0, **kwargs) -> LinkLoadForecaster:
-    """Instantiate a registered forecaster by name."""
+    """Instantiate a forecaster by name."""
     try:
         factory = FORECASTERS[name]
     except KeyError:
         raise ValueError(
-            f"unknown forecaster {name!r}; registered: {sorted(FORECASTERS)}"
+            f"unknown forecaster {name!r}; known: {sorted(FORECASTERS)}"
         ) from None
     return factory(nlinks=nlinks, period=period, **kwargs)
-
-
-register_forecaster("ewma", EwmaExtrapolationForecaster)
-register_forecaster("holt_winters", HoltWintersForecaster)
-register_forecaster("ar", ARForecaster)

@@ -213,44 +213,20 @@ class _StubForecast:
         return self.predicted.copy()
 
 
-def test_water_filling_forecast_headroom_breaks_ties():
-    sim, topo, net, stats, alloc = build(kind="water_filling")
-    paths = [np.array([0]), np.array([1]), np.array([2])]
-    # equal rounded ETAs, but the forecast says path 1 has the most slack
-    headroom = np.array([50.0, 90.0, 70.0])
-    picks = [
-        alloc._choose(
-            paths, [100.0] * 3, [0.0] * 3, 10.0, forecast_headroom=headroom
-        )
-        for _ in range(4)
-    ]
-    assert picks == [1, 1, 1, 1]  # one winner: rotation never engages
-
-
-def test_water_filling_rotates_among_headroom_ties():
-    sim, topo, net, stats, alloc = build(kind="water_filling")
-    paths = [np.array([0]), np.array([1]), np.array([2])]
-    headroom = np.array([90.0, 40.0, 90.0])  # paths 0 and 2 tie on slack
-    picks = [
-        alloc._choose(
-            paths, [100.0] * 3, [0.0] * 3, 10.0, forecast_headroom=headroom
-        )
-        for _ in range(4)
-    ]
-    assert sorted(set(picks)) == [0, 2]
-    assert 1 not in picks
-
-
 def test_water_filling_without_forecast_is_unchanged():
-    """forecast_headroom=None must reproduce the pre-forecast rotation
-    exactly — the measured-load pipeline stays bit-identical."""
-    sim, topo, net, stats, alloc = build(kind="water_filling")
-    paths = [np.array([0]), np.array([1]), np.array([2])]
-    picks = [
-        alloc._choose(paths, [100.0] * 3, [0.0] * 3, 10.0, forecast_headroom=None)
-        for _ in range(6)
-    ]
-    assert picks == [0, 1, 2, 0, 1, 2]
+    """A forecast only moves the residuals: when it agrees with the
+    measured load, water-filling places exactly as it does without
+    one (the tie-break is the same rotation either way)."""
+
+    def placements(with_forecast):
+        sim, topo, net, stats, alloc = build(kind="water_filling")
+        if with_forecast:
+            alloc.forecast = _StubForecast(stats.background_load_array())
+        entries = [entry(f"h0{i}", f"h1{i}", 10e6) for i in range(4)]
+        return [trunk_of(topo, path) for _, path in alloc.allocate(entries)]
+
+    assert placements(True) == placements(False)
+    assert sorted(placements(True)) == ["trunk0", "trunk0", "trunk1", "trunk1"]
 
 
 def test_allocator_scores_against_forecast_not_ewma():

@@ -166,6 +166,13 @@ def test_config_validation():
         PythiaConfig(k_paths=0)
     with pytest.raises(ValueError):
         PythiaConfig(allocation="magic")
+    # a zero period would reschedule the stats poll at +0 s forever,
+    # and a zero EWMA weight never folds a sample in
+    for bad in ({"stats_period": 0.0}, {"stats_period": -1.0},
+                {"stats_alpha": 0.0}, {"stats_alpha": 1.5}):
+        with pytest.raises(ValueError, match="stats_"):
+            PythiaConfig(**bad)
+    PythiaConfig(stats_alpha=1.0)  # alpha = 1 (no smoothing) stays valid
     with pytest.raises(ValueError):
         PythiaConfig(aggregation="pod_pair")
     with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """Forecaster behaviour on constant / ramp / step / frozen-gap series.
 
-The EWMA and Holt–Winters expectations are exact closed forms of the
-published recurrences, so any drift in the update equations fails
-loudly rather than shifting results quietly.
+The EWMA expectations are exact closed forms of the published
+recurrence, so any drift in the update equation fails loudly rather
+than shifting results quietly.
 """
 
 import numpy as np
@@ -12,10 +12,8 @@ from repro.forecast.models import (
     ARForecaster,
     EwmaExtrapolationForecaster,
     FORECASTERS,
-    HoltWintersForecaster,
     LinkLoadForecaster,
     make_forecaster,
-    register_forecaster,
 )
 
 
@@ -28,8 +26,8 @@ def feed(model, series):
 # registry
 # ----------------------------------------------------------------------
 def test_registry_has_builtin_models():
-    assert {"ewma", "holt_winters", "ar"} <= set(FORECASTERS)
-    for name in ("ewma", "holt_winters", "ar"):
+    assert set(FORECASTERS) == {"ewma", "ar"}
+    for name in ("ewma", "ar"):
         model = make_forecaster(name, nlinks=3)
         assert isinstance(model, LinkLoadForecaster)
         assert model.name == name
@@ -38,32 +36,6 @@ def test_registry_has_builtin_models():
 def test_make_forecaster_rejects_unknown():
     with pytest.raises(ValueError, match="unknown forecaster"):
         make_forecaster("oracle", nlinks=2)
-
-
-def test_register_forecaster_plugs_in():
-    class Flat:
-        name = "flat"
-
-        def __init__(self, nlinks, period=1.0):
-            self.nlinks = nlinks
-
-        def observe(self, now, values):
-            pass
-
-        def predict(self, horizon):
-            return np.zeros(self.nlinks)
-
-        def ready(self):
-            return True
-
-        def reset(self):
-            pass
-
-    register_forecaster("flat", Flat)
-    try:
-        assert isinstance(make_forecaster("flat", nlinks=2), Flat)
-    finally:
-        del FORECASTERS["flat"]
 
 
 # ----------------------------------------------------------------------
@@ -107,75 +79,6 @@ def test_ewma_reset_keeps_level():
     model.reset()
     assert model.ready()  # a flat level has no trend to discount
     np.testing.assert_allclose(model.predict(1.0), [50.0])
-
-
-# ----------------------------------------------------------------------
-# Holt–Winters — exact closed forms
-# ----------------------------------------------------------------------
-def test_holt_winters_needs_two_observations():
-    model = HoltWintersForecaster(nlinks=1)
-    assert not model.ready()
-    model.observe(0.0, np.array([10.0]))
-    assert not model.ready()
-    model.observe(1.0, np.array([20.0]))
-    assert model.ready()
-
-
-def test_holt_winters_ramp_is_exact_undamped():
-    # With phi=1 on a perfect ramp the recurrence is exact: level = x_t,
-    # trend = slope, predict(h) = x_t + slope * h / period.
-    model = HoltWintersForecaster(nlinks=1, period=1.0, alpha=0.5, beta=0.3, phi=1.0)
-    feed(model, [[10.0 * t] for t in range(6)])
-    np.testing.assert_allclose(model.predict(3.0), [50.0 + 10.0 * 3], rtol=1e-12)
-
-
-def test_holt_winters_constant_has_zero_trend():
-    model = HoltWintersForecaster(nlinks=2)
-    feed(model, [[70.0, 5.0]] * 4)
-    np.testing.assert_allclose(model._trend, [0.0, 0.0])
-    np.testing.assert_allclose(model.predict(10.0), [70.0, 5.0])
-
-
-def test_holt_winters_damped_recurrence_closed_form():
-    alpha, beta, phi = 0.5, 0.3, 0.8
-    model = HoltWintersForecaster(nlinks=1, alpha=alpha, beta=beta, phi=phi)
-    xs = [0.0, 10.0, 30.0]
-    feed(model, [[x] for x in xs])
-    # init: level=x0 then level=x1, trend=x1-x0; third step by hand
-    level, trend = xs[1], xs[1] - xs[0]
-    damped = phi * trend
-    level2 = alpha * xs[2] + (1 - alpha) * (level + damped)
-    trend2 = beta * (level2 - level) + (1 - beta) * damped
-    np.testing.assert_allclose(model._level, [level2])
-    np.testing.assert_allclose(model._trend, [trend2])
-    # damped h-step weight: phi (1 - phi^steps) / (1 - phi)
-    steps = 4.0
-    weight = phi * (1 - phi**steps) / (1 - phi)
-    np.testing.assert_allclose(model.predict(4.0), [level2 + weight * trend2])
-
-
-def test_holt_winters_step_overshoots_less_when_damped():
-    series = [[0.0]] * 4 + [[100.0]] * 2
-    undamped = HoltWintersForecaster(nlinks=1, phi=1.0)
-    damped = HoltWintersForecaster(nlinks=1, phi=0.8)
-    feed(undamped, series)
-    feed(damped, series)
-    assert damped.predict(5.0)[0] < undamped.predict(5.0)[0]
-
-
-def test_holt_winters_frozen_gap_reset_drops_trend():
-    model = HoltWintersForecaster(nlinks=1, phi=1.0)
-    feed(model, [[10.0 * t] for t in range(5)])
-    assert model._trend[0] == pytest.approx(10.0)
-    model.reset()
-    assert not model.ready()  # needs a fresh second sample to re-trend
-    np.testing.assert_allclose(model._trend, [0.0])
-    # level survives: still the best point estimate across the gap
-    np.testing.assert_allclose(model._level, [40.0])
-    model.observe(10.0, np.array([40.0]))
-    assert model.ready()
-    # post-gap trend is rebuilt from post-gap data only
-    np.testing.assert_allclose(model.predict(5.0), [40.0])
 
 
 # ----------------------------------------------------------------------
@@ -242,8 +145,8 @@ def test_ar_multi_link_fits_are_independent():
     [
         lambda: EwmaExtrapolationForecaster(nlinks=0),
         lambda: EwmaExtrapolationForecaster(nlinks=1, alpha=0.0),
-        lambda: HoltWintersForecaster(nlinks=1, beta=1.5),
-        lambda: HoltWintersForecaster(nlinks=1, phi=0.0),
+        lambda: EwmaExtrapolationForecaster(nlinks=1, alpha=1.5),
+        lambda: ARForecaster(nlinks=0),
         lambda: ARForecaster(nlinks=1, order=0),
         lambda: ARForecaster(nlinks=1, order=3, window=4),
     ],

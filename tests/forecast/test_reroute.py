@@ -113,16 +113,17 @@ def test_degraded_forecast_skips_rerouting():
 
 
 def test_cold_start_skips_until_forecaster_ready():
-    # Holt–Winters needs two folded samples; the rerouter must count a
-    # stale skip on the first poll rather than act on a cold forecaster.
-    sim, topo, net, stats, forecast, rerouter = build(mode="holt_winters")
+    # AR(3) needs 2p + 2 = 8 folded samples; the rerouter must count a
+    # stale skip on each of the first seven polls rather than act on a
+    # cold forecaster.
+    sim, topo, net, stats, forecast, rerouter = build(mode="ar")
     start_background(net, topo, rate=110e6, path_index=0)
     start_elephant(net, topo, path_index=0)
     stats.start()
-    sim.run(until=0.6)  # exactly one poll
-    assert rerouter.skipped_stale == 1
+    sim.run(until=3.6)  # seven polls at 0.5 s
+    assert rerouter.skipped_stale == 7
     assert rerouter.reroutes == 0
-    sim.run(until=3.0)  # warmed up: proactive moves resume
+    sim.run(until=6.0)  # warmed up: proactive moves resume
     assert rerouter.reroutes >= 1
 
 

@@ -76,8 +76,8 @@ def test_forecast_choices_follow_the_registry(monkeypatch):
     args = parser.parse_args(["forecast", "--modes", "naive", "--lead-time-mode", "naive"])
     assert args.modes == ["naive"] and args.lead_time_mode == "naive"
     defaults = parser.parse_args(["forecast"])
-    assert defaults.modes == ["ewma", "holt_winters", "ar"]
-    assert defaults.lead_time_mode == "holt_winters"
+    assert defaults.modes == ["ewma", "ar"]
+    assert defaults.lead_time_mode == "ar"
 
 
 def test_run_with_export(tmp_path, capsys):
